@@ -59,8 +59,6 @@ from .metrics import (
     ngmi,
     r_fec_star,
     rate_accounting,
-    golden_section_max,
-    golden_section_min,
 )
 from .fec import (
     BitMapping,

@@ -86,11 +86,6 @@ class Constellation:
     def n_points(self):
         return self.points.size
 
-    @property
-    def tributary_of(self):
-        """Tributary index (0-based) of each of the m label bit positions."""
-        return np.arange(self.m) % self.bar_m
-
     def labels_to_bits(self, labels):
         """(..., ) label integers -> (..., m) bit array, MSB first."""
         labels = np.asarray(labels)

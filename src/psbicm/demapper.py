@@ -213,6 +213,9 @@ class LValueTrace:
             raise ValueError("tributary ids out of range")
         if len(self.priors) != self.bar_m:
             raise ValueError("need one prior per tributary")
+        bad = self.lvalues.size - np.count_nonzero(np.isfinite(self.lvalues))
+        if bad:
+            raise ValueError(f"{bad} of {self.lvalues.size} L-values are NaN or infinite")
 
     @property
     def n(self):

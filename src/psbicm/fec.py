@@ -343,26 +343,6 @@ def _group_passes(cand, placed, m, w_floor):
     return True
 
 
-def _sparse_codeword_floor(layout, z, q):
-    """Exact minimum weight over all codewords with 1 or 2 info bits set.
-
-    These sparse-information words dominate the distance spectrum of
-    accumulator codes, so generated layouts are screened against them;
-    this helper re-derives the floor of a finished layout.
-    """
-    m = q * z
-    rows = [np.sort(_leg_rows(classes, shifts, z, q), axis=1)
-            for classes, shifts in layout]
-    w = min(int((1 + _accumulated_weight(r, m)).min()) for r in rows)
-    for a in range(len(rows)):
-        i, j = np.triu_indices(z, k=1)
-        merged = np.sort(np.concatenate([rows[a][i], rows[a][j]], axis=1), axis=1)
-        w = min(w, int((2 + _accumulated_weight(merged, m)).min()))
-        for b in range(a + 1, len(rows)):
-            w = min(w, int(_pair_weights(rows[a], rows[b], m).min()))
-    return w
-
-
 def _group_degrees(info_groups, q, num, den):
     """Information-column degree per bit group, heavy groups first.
 

@@ -20,10 +20,10 @@ identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
 fixed-scaling GMI = Delta_H) hold exactly on a common trace, not just
 statistically.
 
-Scaling-parameter searches (the s of the GMI, the s_d of the
-uncertainty) use golden-section on [1e-3, 1e2] with absolute tolerance
-1e-4; GMI(s) is concave and U(s_d) convex, so a bracket-interior argmax
-is trustworthy and boundary hits are flagged.
+The scaling optima (the s of the GMI, the s_d of the uncertainty) come
+from one safeguarded Newton search on [1e-3, 1e2] with the closed-form
+derivatives of f; GMI(s) is concave and U(s_d) convex, so an interior
+optimum is the global one, and an optimum at a bracket end is flagged.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .demapper import quantize_trace
 _LN2 = np.log(2.0)
 SEARCH_LO = 1e-3
 SEARCH_HI = 1e2
-SEARCH_XTOL = 1e-4
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+SEARCH_XTOL = 1e-4      # an optimum within 2*SEARCH_XTOL of an end is flagged
 
 
 def soft_bit_cost(x):
@@ -64,42 +63,56 @@ def _uncertainty(trace, s_d):
     return (trace.m / trace.bar_m) * float(cond.sum())
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a 1-D golden-section scaling search."""
+def _minimize_scaling(base, direction, tributaries, bar_m, s0):
+    """Minimize C(s) = sum_i mean_i f(base + s*direction); base None is 0.
 
-    x: float
-    fx: float
-    at_boundary: bool
-
-
-def golden_section_max(f, lo=SEARCH_LO, hi=SEARCH_HI, xtol=SEARCH_XTOL):
-    """Maximize a unimodal scalar function on [lo, hi].
-
-    Classic two-point golden-section bracket shrink; ~30 evaluations for
-    the default bracket and tolerance.  ``at_boundary`` flags an argmax
-    within 2*xtol of either end (bracket exhausted).
+    Safeguarded Newton on [SEARCH_LO, SEARCH_HI] from ``s0``.  With
+    p = 1/(1 + e^x), C' = -sum_i mean_i(p*d)/ln2 and C'' =
+    sum_i mean_i(p*(1-p)*d^2)/ln2.  The sign of C' shrinks the bracket; a
+    Newton step that leaves it falls back to bisection.  The convergence
+    test |step| <= 1e-10*max(1, s) comes first, so a converged step that
+    touches the bracket end cannot set off bisection.  Returns
+    (s, C(s) from the shared tributary reduction, at_boundary).
     """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return SearchResult(x=x, fx=f(x), at_boundary=(x - lo < 2 * xtol or hi - x < 2 * xtol))
-
-
-def golden_section_min(f, lo=SEARCH_LO, hi=SEARCH_HI, xtol=SEARCH_XTOL):
-    r = golden_section_max(lambda x: -f(x), lo, hi, xtol)
-    return SearchResult(x=r.x, fx=-r.fx, at_boundary=r.at_boundary)
+    counts = np.bincount(tributaries, minlength=bar_m + 1)[1:]
+    if np.any(counts == 0):
+        raise ValueError("trace has empty tributaries")
+    w1 = (1.0 / counts)[tributaries - 1]    # d/count and d^2/count make the
+    w1 *= direction                         # tributary means dot products
+    w2 = w1 * direction
+    work = np.empty_like(w1)                # x, then p, then p^2
+    lo, hi = SEARCH_LO, SEARCH_HI
+    s = min(max(float(s0), lo), hi)
+    for _ in range(100):
+        np.multiply(direction, s, out=work)
+        if base is not None:
+            work += base
+        with np.errstate(over="ignore"):
+            np.exp(work, out=work)
+        work += 1.0
+        np.reciprocal(work, out=work)
+        # einsum, not a BLAS dot: single-threaded, so the sums do not
+        # depend on the BLAS thread count
+        d1 = -float(np.einsum("i,i->", work, w1))           # ln2 * C'
+        d2 = float(np.einsum("i,i->", work, w2))
+        work *= work
+        d2 -= float(np.einsum("i,i->", work, w2))           # ln2 * C''
+        lo, hi = (lo, s) if d1 > 0 else (s, hi)
+        step = -d1 / d2 if d2 > 0 else (0.0 if d1 == 0 else np.inf)
+        tol = 1e-10 * max(1.0, s)
+        nxt = s + step
+        if abs(step) > tol and not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        converged = abs(nxt - s) <= tol     # also when the bracket collapsed
+        s = nxt
+        if converged:
+            break
+    del w1, w2                              # before the cost's temporaries
+    np.multiply(direction, s, out=work)
+    if base is not None:
+        work += base
+    cost = float(_mean_cost_by_tributary(work, tributaries, bar_m).sum())
+    return s, cost, s - SEARCH_LO < 2 * SEARCH_XTOL or SEARCH_HI - s < 2 * SEARCH_XTOL
 
 
 def pre_fec_ber(trace):
@@ -174,9 +187,11 @@ def gmi_from_trace(trace, s="optimize"):
 
     The stored L-values are L^pr + s0*L^ex with s0 = trace.scale; the
     decomposition is inverted so GMI(s) can be evaluated at any extrinsic
-    scaling s, and with ``s="optimize"`` the concave GMI(s) is maximized
-    by golden-section search.  Evaluating at s = s0 needs no inversion
-    and reproduces H(B) - sum_i H(B_i|Y) on the trace exactly.
+    scaling s.  With ``s="optimize"`` the concave GMI(s) is maximized by
+    minimizing its summed conditional entropies with the safeguarded
+    Newton search, started at the trace's s_o.  Evaluating at s = s0
+    needs no inversion and reproduces H(B) - sum_i H(B_i|Y) on the trace
+    exactly.
     """
     if s != "optimize":
         s = float(s)
@@ -189,21 +204,21 @@ def gmi_from_trace(trace, s="optimize"):
             return GmiResult(gmi_bits=g0, scale=s, at_boundary=False)
     if trace.scale <= 0:
         raise ValueError("trace scale must be positive to rescale extrinsics")
-    sign = np.where(trace.bits == 0, 1.0, -1.0)
-    pri = trace.priors[trace.tributaries - 1]
-    prior_a = sign * pri
-    extr_a = sign * (trace.lvalues - pri) / trace.scale
-    ppt = trace.m / trace.bar_m
-
-    def g(si):
-        cond = _mean_cost_by_tributary(prior_a + si * extr_a,
-                                       trace.tributaries, trace.bar_m)
-        return trace.h_b - ppt * float(cond.sum())
-
+    # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex, built in place
+    prior_a = trace.priors[trace.tributaries - 1]
+    np.negative(prior_a, out=prior_a, where=trace.bits != 0)
+    extr_a = trace.asymmetric()
+    extr_a -= prior_a
+    extr_a /= trace.scale
+    boundary = False
     if s == "optimize":
-        r = golden_section_max(g)
-        return GmiResult(gmi_bits=r.fx, scale=r.x, at_boundary=r.at_boundary)
-    return GmiResult(gmi_bits=g(s), scale=s, at_boundary=False)
+        s, cost, boundary = _minimize_scaling(prior_a, extr_a, trace.tributaries,
+                                              trace.bar_m, trace.scale_opt)
+    else:
+        cost = float(_mean_cost_by_tributary(prior_a + s * extr_a, trace.tributaries,
+                                             trace.bar_m).sum())
+    return GmiResult(gmi_bits=trace.h_b - (trace.m / trace.bar_m) * cost, scale=s,
+                     at_boundary=boundary)
 
 
 def gmi(bits, y, constellation, pmf, assumed_snr_linear, s="optimize"):
@@ -237,13 +252,15 @@ def r_fec_star(trace, s_d="optimize"):
     """Achievable FEC code rate from the decoder's input L-values.
 
     U(s_d) is the mean soft bit cost of the s_d-scaled asymmetric
-    L-values per label position, times m; the convex U is minimized over
-    s_d unless a fixed value is given.  R*_fec = [1 - U*/m]^+, and at
-    s_d = s_o/s it equals the (mismatch-corrected) ASI exactly.
+    L-values per label position, times m; unless a fixed value is given,
+    the convex U is minimized over s_d by the safeguarded Newton search,
+    started at s_o/s.  R*_fec = [1 - U*/m]^+, and at s_d = s_o/s it
+    equals the (mismatch-corrected) ASI exactly.
     """
     if s_d == "optimize":
-        r = golden_section_min(lambda sd: _uncertainty(trace, sd))
-        u_star, sd, boundary = r.fx, r.x, r.at_boundary
+        sd, cost, boundary = _minimize_scaling(
+            None, trace.asymmetric(), trace.tributaries, trace.bar_m, trace.s_ratio)
+        u_star = (trace.m / trace.bar_m) * cost
     else:
         if not s_d > 0:
             raise ValueError("s_d must be positive")
@@ -353,7 +370,8 @@ class MetricReport:
     """All pre-decoding metrics for one simulation point.
 
     Quantized-ASI and rate-accounting fields are NaN when no quantizer or
-    code rate applies.  Serialized as JSON or one fixed-schema CSV row.
+    code rate applies.  The boundary flags mark a scaling search that
+    ended at its bracket.  Serialized as JSON or one fixed-schema CSV row.
     """
 
     pre_fec_ber: float
@@ -371,18 +389,22 @@ class MetricReport:
     decoder_scale: float
     info_rate: float
     code_rate_bound: float
+    gmi_at_boundary: bool
+    decoder_scale_at_boundary: bool
 
-    SCHEMA = "psbicm-metrics-v1"
+    SCHEMA = "psbicm-metrics-v2"
 
     @classmethod
     def csv_header(cls):
         return ",".join(f.name for f in fields(cls))
 
     def csv_row(self):
-        return ",".join(repr(float(getattr(self, f.name))) for f in fields(self))
+        return ",".join(str(int(v)) if isinstance(v, bool) else repr(v)
+                        for v in list(self.to_json().values())[:-1])
 
     def to_json(self):
-        d = {f.name: float(getattr(self, f.name)) for f in fields(self)}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {k: v if isinstance(v, bool) else float(v) for k, v in d.items()}
         d["schema"] = self.SCHEMA
         return d
 
@@ -425,4 +447,6 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
         decoder_scale=rf.scale,
         info_rate=info_rate,
         code_rate_bound=bound,
+        gmi_at_boundary=g.at_boundary,
+        decoder_scale_at_boundary=rf.at_boundary,
     )

@@ -168,7 +168,9 @@ class CodedPointResult:
     post_fec_ber: float
     hd_fec_pass: bool
     frame_error_rate: float
-    converged_fraction: float
+    converged_fraction: float   # valid codewords, after restarts
+    bp_failures: int            # frames whose first flooding run failed
+    restarts_used: int          # augmented-BP reruns over all frames
     asi: float
     ngmi: float
     r_fec_star: float
@@ -207,8 +209,7 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
     all_lam = np.empty((n_frames, stream.n_pam // 2, constellation.m))
     sent_info = np.empty((n_frames, k), dtype=np.uint8)
     decoded_info = np.empty((n_frames, k), dtype=np.uint8)
-    converged = 0
-    frame_errors = 0
+    converged = bp_failures = restarts_used = frame_errors = 0
     for f in range(n_frames):
         frame = stream.next_frame()
         ch = ChannelConfig(snr_db, seed=seed, block_id=noise_block_base + f)
@@ -221,6 +222,9 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
         sent_info[f] = frame.codeword[:k]
         decoded_info[f] = res.info
         converged += bool(res.converged)
+        # reruns happen only after a failed first run
+        bp_failures += res.restarts > 0 or not res.converged
+        restarts_used += res.restarts
         frame_errors += not np.array_equal(res.info, frame.codeword[:k])
 
     s_o = ChannelConfig(snr_db).snr_linear / cfg.assumed_snr_linear
@@ -237,6 +241,8 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
         hd_fec_pass=post.hd_fec_pass,
         frame_error_rate=frame_errors / n_frames,
         converged_fraction=converged / n_frames,
+        bp_failures=bp_failures,
+        restarts_used=restarts_used,
         asi=asi_mc(trace),
         ngmi=ngmi(g.gmi_bits, trace.h_b, trace.m),
         r_fec_star=r_fec_star(trace).r_fec_star,

@@ -21,7 +21,6 @@ inverse at any block length, with no register-width bookkeeping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 
@@ -143,15 +142,6 @@ class AmplitudeComposition:
 
     def to_json(self):
         return {"alphabet": self.alphabet.tolist(), "counts": self.counts.tolist()}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(alphabet=np.asarray(d["alphabet"]), counts=np.asarray(d["counts"]))
-
-
-def load_composition(path):
-    with open(path) as f:
-        return AmplitudeComposition.from_json(json.load(f))
 
 
 def quantize_pmf(target_pmf, n_pam, alphabet=None):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -302,6 +304,23 @@ def test_make_trace_shape_validation():
     _, pmf = square_qam(2)
     with pytest.raises(ValueError):
         make_trace(np.zeros((3, 2), np.uint8), np.zeros(6), pmf)
+
+
+def test_nonfinite_lvalues_rejected(tmp_path):
+    # a NaN or infinite L-value would turn the scaling searches' slope
+    # into NaN and send them to a bracket end
+    _, pmf = square_qam(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        lam = np.ones((3, 2))
+        lam[1, 0] = bad
+        with pytest.raises(ValueError, match="1 of 6 L-values are NaN or infinite"):
+            make_trace(np.zeros((3, 2), np.uint8), lam, pmf)
+        # the last 8 bytes of a trace file are the last record's L-value
+        p = tmp_path / "bad.lvt"
+        write_trace(p, _small_trace())
+        p.write_bytes(p.read_bytes()[:-8] + struct.pack("<d", bad))
+        with pytest.raises(ValueError, match="L-values are NaN or infinite"):
+            read_trace(p)
 
 
 def test_extrinsic_plus_prior_composition():

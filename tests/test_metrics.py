@@ -5,7 +5,10 @@ from psbicm.channel import ChannelConfig, awgn
 from psbicm.constellation import draw_labels, square_qam
 from psbicm.demapper import DemapperConfig, Quantizer, default_quantizer, demap_to_trace, quantize_trace
 from psbicm.metrics import (
+    SEARCH_HI,
+    SEARCH_LO,
     MetricReport,
+    _minimize_scaling,
     asi_floor,
     asi_hist,
     asi_mc,
@@ -13,8 +16,6 @@ from psbicm.metrics import (
     compute_report,
     gmi,
     gmi_from_trace,
-    golden_section_max,
-    golden_section_min,
     ngmi,
     pre_fec_ber,
     r_fec_star,
@@ -53,18 +54,41 @@ def test_soft_bit_cost_limits():
     assert out[0, 1] == pytest.approx(np.log2(1 + np.exp(-1.0)), rel=1e-14)
 
 
-def test_golden_section_interior_and_boundary():
-    r = golden_section_max(lambda x: -(x - 3.0) ** 2, lo=0.1, hi=50.0)
-    assert r.x == pytest.approx(3.0, abs=1e-4)
-    assert r.fx == pytest.approx(0.0, abs=1e-7)
-    assert not r.at_boundary
+def test_scaling_search_interior_and_boundary():
+    # one tributary of nine +1 and one -1: C(s) = 0.9 f(s) + 0.1 f(-s) has
+    # its minimum where e^s = 9
+    d = np.array([1.0] * 9 + [-1.0])
+    x, fx, at_boundary = _minimize_scaling(None, d, np.ones(10, np.uint8), 1, s0=1.0)
+    assert x == pytest.approx(np.log(9.0), abs=1e-9)
+    assert fx == pytest.approx(0.9 * soft_bit_cost(np.log(9.0))
+                               + 0.1 * soft_bit_cost(-np.log(9.0)), abs=1e-14)
+    assert not at_boundary
 
-    r = golden_section_max(lambda x: x, lo=0.0, hi=1.0)
-    assert r.at_boundary and r.x > 0.99
+    # two tributaries with a base: a minimum no step can improve on
+    rng = np.random.default_rng(5)
+    base = rng.normal(0.5, 1.0, 4000)
+    d = rng.normal(1.0, 2.0, 4000)
+    tribs = np.tile([1, 2], 2000).astype(np.uint8)
+    x, fx, at_boundary = _minimize_scaling(base, d, tribs, 2, s0=50.0)
 
-    r = golden_section_min(lambda x: (x - 2.0) ** 2 + 5.0, lo=0.1, hi=50.0)
-    assert r.x == pytest.approx(2.0, abs=1e-4)
-    assert r.fx == pytest.approx(5.0, abs=1e-7)
+    def cost(s):
+        f = soft_bit_cost(base + s * d)
+        return sum(float(np.mean(f[tribs == t])) for t in (1, 2))
+
+    assert SEARCH_LO < x < SEARCH_HI and not at_boundary
+    assert fx == pytest.approx(cost(x), abs=1e-14)
+    assert fx <= min(cost(x * (1 - 1e-6)), cost(x * (1 + 1e-6)))
+
+    # every sign right: C falls for ever and the search stops at the top
+    x, _, at_boundary = _minimize_scaling(None, np.abs(d) + 0.1, tribs, 2, s0=1.0)
+    assert at_boundary and x == pytest.approx(SEARCH_HI, rel=1e-9)
+    # every extrinsic sign wrong: C rises from s = 0 and the search stops at the bottom
+    x, _, at_boundary = _minimize_scaling(np.full(4000, 2.0), -np.abs(d) - 0.1,
+                                          tribs, 2, s0=1.0)
+    assert at_boundary and x == pytest.approx(SEARCH_LO, abs=1e-9)
+
+    with pytest.raises(ValueError, match="empty tributaries"):
+        _minimize_scaling(None, d, np.ones(4000, np.uint8), 2, s0=1.0)
 
 
 def test_pre_fec_ber_hand_built():
@@ -172,6 +196,47 @@ def test_matched_trace_optimal_scalings_near_one():
     r = r_fec_star(tr)
     assert r.scale == pytest.approx(1.0, abs=0.02)
     assert abs(r.r_fec_star - asi_mc(tr)) < 1e-6
+
+
+# NGMI and R*_fec of 20000-symbol 64-QAM traces as found by the
+# golden-section search (absolute tolerance 1e-4 on the scaling) that
+# the Newton search replaced
+@pytest.mark.parametrize("kwargs, ngmi_golden, rfec_golden", [
+    (dict(snr_db=12.0, seed=101), 0.628249376539989, 0.628249376539989),
+    (dict(snr_db=12.0, seed=103, assumed_snr_db=9.0),
+     0.6297336430753968, 0.6297336430753968),
+    (dict(snr_db=9.0, seed=107, amplitude_pmf=PAS_II),
+     0.7581885318463939, 0.758188506033456),
+    (dict(snr_db=12.0, seed=109, quantizer=Quantizer(16, 6.75)),
+     0.5419152763732178, 0.5419152763732178),
+], ids=["matched", "mismatch_-3dB", "pas", "q16"])
+def test_scaling_optima_are_optimal(kwargs, ngmi_golden, rfec_golden):
+    tr = simulate_trace(6, n_sym=20_000, **kwargs)
+    rep = compute_report(tr)
+    assert not (rep.gmi_at_boundary or rep.decoder_scale_at_boundary)
+    s_d, s = rep.decoder_scale, rep.gmi_scale
+    assert r_fec_star(tr, s_d=s_d).uncertainty == rep.uncertainty
+    # the slope of sum_i mean_i f(base + s*d), written out here, changes
+    # sign within +-1e-6 of both optima
+    sign = np.where(tr.bits == 0, 1.0, -1.0)
+    pri = sign * tr.priors[tr.tributaries - 1]
+
+    def slope(base, d, si):
+        g = -d * 0.5 * (1.0 - np.tanh(0.5 * (base + si * d)))
+        return sum(float(np.mean(g[tr.tributaries == t])) for t in (1, 2, 3))
+
+    for base, d, x in ((0.0, tr.asymmetric(), s_d),
+                       (pri, sign * tr.lvalues - pri, s)):
+        assert slope(base, d, x * (1 - 1e-6)) < 0 < slope(base, d, x * (1 + 1e-6))
+    # at 1e-6 the cost rises by less than the ~1e-12 rounding of the
+    # tributary sums of a 16-level trace, so values are compared at 1e-5
+    for f in (1 - 1e-5, 1 + 1e-5):
+        assert rep.uncertainty <= r_fec_star(tr, s_d=s_d * f).uncertainty
+        assert rep.gmi_bits >= gmi_from_trace(tr, s=s * f).gmi_bits
+    assert abs(rep.ngmi - ngmi_golden) <= 1e-8
+    assert abs(rep.r_fec_star - rfec_golden) <= 1e-8
+    assert abs(rep.asi - r_fec_star(tr, s_d=tr.s_ratio).r_fec_star) <= 1e-12
+    assert abs(gmi_from_trace(tr, s=tr.scale).gmi_bits - rep.delta_h) <= 1e-12
 
 
 def test_gmi_zero_scaling_uniform_qpsk():
@@ -288,8 +353,12 @@ def test_report_fields_and_serialization():
     assert len(vals) == len(header.split(","))
     assert vals[0] == rep_q.pre_fec_ber
     as_json = rep_q.to_json()
-    assert as_json["schema"] == "psbicm-metrics-v1"
+    assert as_json["schema"] == "psbicm-metrics-v2"
     assert as_json["r_fec_star"] == rep_q.r_fec_star
+    # the search boundary flags: JSON booleans, CSV 0/1
+    assert as_json["gmi_at_boundary"] is False
+    assert as_json["decoder_scale_at_boundary"] is False
+    assert row.endswith(",0,0")
 
 
 def test_gmi_convenience_matches_trace_path():

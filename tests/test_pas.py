@@ -138,12 +138,28 @@ def test_run_coded_point_clean_regime():
     res, trace = run_coded_point(code, con, pmf, snr_db=9.0, n_frames=25, seed=3)
     assert res.post_fec_ber == 0.0 and res.hd_fec_pass
     assert res.frame_error_rate == 0.0 and res.converged_fraction == 1.0
+    assert res.bp_failures == 0 and res.restarts_used == 0
     assert res.asi > 0.9 and res.ngmi > 0.9 and res.r_fec_star > 0.9
     assert trace.n == 25 * code.n
     # deterministic: identical config reruns bit-identically
     res2, trace2 = run_coded_point(code, con, pmf, snr_db=9.0, n_frames=25, seed=3)
     assert res2 == res
     assert np.array_equal(trace2.lvalues, trace.lvalues)
+
+
+def test_run_coded_point_counts_bp_failures_and_restarts():
+    # at 3 dB one of 40 frames defeats 20 flooding iterations, and the
+    # restart search rescues it
+    con, pmf = square_qam(2)
+    code = generate_code(96, "1/2", seed=11)
+    kw = dict(snr_db=3.0, n_frames=40, seed=3, max_iter=20)
+    bp, _ = run_coded_point(code, con, pmf, **kw)
+    assert bp.bp_failures == 1 and bp.restarts_used == 0
+    assert bp.frame_error_rate == 1 / 40 and bp.converged_fraction == 39 / 40
+    aug, _ = run_coded_point(code, con, pmf, restarts=50, **kw)
+    assert aug.bp_failures == 1 and 1 <= aug.restarts_used <= 50
+    assert aug.frame_error_rate == 0.0 and aug.converged_fraction == 1.0
+    assert aug.post_fec_ber == 0.0 < bp.post_fec_ber
 
 
 def test_run_coded_point_shaped_smoke():
