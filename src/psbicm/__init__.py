@@ -17,7 +17,6 @@ from .constellation import (
     square_qam,
     star8qam,
     custom_constellation,
-    load_constellation,
     draw_labels,
 )
 from .shaping import (
@@ -54,7 +53,6 @@ from .metrics import (
     asi_floor,
     tributary_conditional_entropies,
     bmd_rate,
-    gmi,
     gmi_from_trace,
     ngmi,
     r_fec_star,
@@ -67,9 +65,6 @@ from .fec import (
     invert_mapping,
     LdpcCode,
     generate_code,
-    peg_code,
-    REFERENCE_DEGREES,
-    REFERENCE_SEED,
     reference_code,
     read_alist,
     write_alist,

@@ -5,6 +5,13 @@ document that echoes the full configuration next to the rows, so every
 table is reproducible from its own metadata.  No plotting: downstream
 tools consume the tables.
 
+One serializer turns every result dataclass into rows, field by field:
+bools are JSON true/false and CSV 0/1, ints stay ints, everything else
+is a float written with ``repr``.  ``sweep`` and ``ingest`` documents
+carry the schema ``psbicm-metrics-v3`` (one ``MetricReport`` per row,
+plus ``snr_db`` for sweeps); ``fecscan`` documents carry
+``psbicm-fecscan-v2`` (one ``CodedPointResult`` per row).
+
 Determinism: labels, noise and payloads for grid point ``i`` come from
 counter-based substreams keyed ``(seed, i)``, so a sweep produces
 bit-identical rows whether points run serially or in a worker pool
@@ -18,6 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,10 +34,13 @@ from .constellation import draw_labels, square_qam
 from .demapper import DemapperConfig, Quantizer, demap_to_trace, read_trace, write_trace
 from .fec import generate_code, read_alist, reference_code, write_alist
 from .metrics import MetricReport, compute_report
-from .pas import run_coded_point
+from .pas import CodedPointResult, PasStream, run_coded_point
 from .shaping import amplitude_preset, quantize_pmf, rate_loss
 
 _FORMATS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
+
+METRICS_SCHEMA = "psbicm-metrics-v3"
+FECSCAN_SCHEMA = "psbicm-fecscan-v2"
 
 
 def _parse_grid(text):
@@ -47,11 +58,6 @@ def _parse_grid(text):
     if not vals:
         raise ValueError("empty snr grid")
     return vals
-
-
-def _substream(seed, stream_id):
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _workers():
@@ -99,7 +105,8 @@ def _metric_point(job):
     cfg, i, snr_db = job
     con, pmf, comp = _build_format(cfg)
     qz = _quantizer(cfg)
-    labels = draw_labels(pmf, cfg["symbols_per_block"], _substream(cfg["seed"], 2 * i + 1))
+    rng = ChannelConfig(snr_db, seed=cfg["seed"], block_id=2 * i + 1).rng()
+    labels = draw_labels(pmf, cfg["symbols_per_block"], rng)
     ch = ChannelConfig(snr_db, seed=cfg["seed"], block_id=2 * i)
     y = awgn(con.points[labels], ch)
     dcfg = DemapperConfig(assumed_snr_db=snr_db + cfg["assumed_snr_offset_db"],
@@ -133,6 +140,21 @@ def _load_code(cfg):
     if cfg.get("rate"):
         return generate_code(cfg["n"], cfg["rate"], seed=cfg["code_seed"])
     return reference_code()
+
+
+def _json_row(result):
+    """A result dataclass as a JSON dict: bools and ints kept, the rest float."""
+    values = ((f.name, getattr(result, f.name)) for f in fields(result))
+    return {k: v if isinstance(v, int) else float(v) for k, v in values}
+
+
+def _csv_header(cls):
+    return ",".join(f.name for f in fields(cls))
+
+
+def _csv_row(result):
+    return ",".join(str(int(v)) if isinstance(v, bool) else repr(v)
+                    for v in _json_row(result).values())
 
 
 def _write_csv(path, header, rows):
@@ -170,17 +192,13 @@ def cmd_sweep(args):
         os.makedirs(cfg["trace_dir"], exist_ok=True)
     grid = _parse_grid(args.snr_db)
     reports = _dispatch(_metric_point, [(cfg, i, s) for i, s in enumerate(grid)])
-    rows = [f"{s!r},{r.csv_row()}" for s, r in zip(grid, reports)]
-    _write_csv(args.out, "snr_db," + MetricReport.csv_header(), rows)
+    rows = [f"{s!r},{_csv_row(r)}" for s, r in zip(grid, reports)]
+    _write_csv(args.out, "snr_db," + _csv_header(MetricReport), rows)
     if args.json_out:
-        doc = {"schema": MetricReport.SCHEMA, "config": cfg,
-               "rows": [dict(r.to_json(), snr_db=s) for s, r in zip(grid, reports)]}
+        doc = {"schema": METRICS_SCHEMA, "config": cfg,
+               "rows": [dict(_json_row(r), snr_db=s) for s, r in zip(grid, reports)]}
         _write_json(args.json_out, doc)
     return 0
-
-
-_CODED_FIELDS = ["snr_db", "frames", "pre_fec_ber", "post_fec_ber", "hd_fec_pass",
-                 "frame_error_rate", "converged_fraction", "asi", "ngmi", "r_fec_star"]
 
 
 def cmd_fecscan(args):
@@ -192,20 +210,16 @@ def cmd_fecscan(args):
         raise ValueError("give either --code-file or --rate/--n, not both")
     con, pmf, comp = _build_format(cfg)
     code = _load_code(cfg)
-    if code.n % (2 * con.bar_m):
-        raise ValueError("code length must fill whole 2-D symbols for this format")
+    # fail fast on code/format/pmf combos the chain cannot frame
+    PasStream(code, con, pmf, composition=comp, mapping=cfg["mapping"],
+              mapping_seed=cfg["mapping_seed"])
     cfg["code_rate"] = code.rate
     grid = _parse_grid(args.snr_db)
     results = _dispatch(_coded_point, [(cfg, i, s) for i, s in enumerate(grid)])
-    rows = [",".join(repr(float(getattr(r, f))) if f != "hd_fec_pass"
-                     else str(int(r.hd_fec_pass)) for f in _CODED_FIELDS)
-            for r in results]
-    _write_csv(args.out, ",".join(_CODED_FIELDS), rows)
+    _write_csv(args.out, _csv_header(CodedPointResult), [_csv_row(r) for r in results])
     if args.json_out:
-        doc = {"schema": "psbicm-fecscan-v1", "config": cfg,
-               "rows": [{f: (bool(getattr(r, f)) if f == "hd_fec_pass"
-                             else float(getattr(r, f))) for f in _CODED_FIELDS}
-                        for r in results]}
+        doc = {"schema": FECSCAN_SCHEMA, "config": cfg,
+               "rows": [_json_row(r) for r in results]}
         _write_json(args.json_out, doc)
     return 0
 
@@ -214,13 +228,13 @@ def cmd_ingest(args):
     trace = read_trace(args.trace)
     report = compute_report(trace, quantizer=trace.quantizer,
                             r_c=args.code_rate, r_loss=args.r_loss)
-    _write_csv(args.out, MetricReport.csv_header(), [report.csv_row()])
+    _write_csv(args.out, _csv_header(MetricReport), [_csv_row(report)])
     if args.json_out:
-        _write_json(args.json_out, {"schema": MetricReport.SCHEMA,
+        _write_json(args.json_out, {"schema": METRICS_SCHEMA,
                                     "config": {"trace": args.trace,
                                                "code_rate": args.code_rate,
                                                "r_loss": args.r_loss},
-                                    "rows": [report.to_json()]})
+                                    "rows": [_json_row(report)]})
     return 0
 
 

@@ -22,7 +22,6 @@ generic formats every position is its own tributary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,15 +99,6 @@ class Constellation:
     def modulate(self, bits):
         """Map (n_sym, m) bits to complex symbols."""
         return self.points[self.bits_to_labels(bits)]
-
-    def to_json(self):
-        d = {
-            "name": self.name,
-            "m": self.m,
-            "points": [[float(p.real), float(p.imag)] for p in self.points],
-            "labels": list(range(self.n_points)),
-        }
-        return d
 
 
 @dataclass(frozen=True)
@@ -190,11 +180,9 @@ def entropy_stats(pmf):
     return EntropyStats(h_b=pmf.entropy(), h_bi=h_bi, sum_h_bi=float(h_bi.sum()))
 
 
-def _product_pmf(pmf_1d, bar_m):
+def _product_pmf(pmf_1d):
     """Joint label pmf of two independent identically distributed PAM dims."""
-    n = pmf_1d.size
-    joint = np.outer(pmf_1d, pmf_1d).reshape(-1)   # index = labelI * n + labelQ
-    return joint
+    return np.outer(pmf_1d, pmf_1d).reshape(-1)    # index = labelI * size + labelQ
 
 
 def square_qam(m, amplitude_pmf=None, name=None):
@@ -241,7 +229,7 @@ def square_qam(m, amplitude_pmf=None, name=None):
         name = "qpsk" if m == 2 else f"{1 << m}qam"
     con = Constellation(name=name, points=points, m=m, bar_m=bar_m,
                         square=True, scale=scale, pam_points=pam)
-    pmf = SymbolPmf(p=_product_pmf(pmf_1d, bar_m), m=m, bar_m=bar_m,
+    pmf = SymbolPmf(p=_product_pmf(pmf_1d), m=m, bar_m=bar_m,
                     amplitude_pmf=amplitude_pmf)
     return con, pmf
 
@@ -310,12 +298,6 @@ def custom_constellation(spec, name="custom"):
     con = Constellation(name=str(spec.get("name", name)), points=points / scale,
                         m=m, bar_m=m, square=False, scale=scale)
     return con, pmf
-
-
-def load_constellation(path):
-    """Read a constellation JSON file, see ``custom_constellation``."""
-    with open(path) as f:
-        return custom_constellation(json.load(f))
 
 
 def draw_labels(pmf, n_symbols, rng):

@@ -16,14 +16,13 @@ dimension; any other constellation is handled by a full 2-D sum.
 A demap run is captured as an :class:`LValueTrace` — flattened
 (bit, tributary, L-value) records plus the metadata the metric estimators
 need (s, the true-to-assumed SNR ratio, per-tributary priors, the symbol
-entropy, and the quantizer if one was applied).  Traces serialize to a
-little-endian binary format or CSV, which is also the ingestion path for
-externally captured L-values.
+entropy, and the quantizer if one was applied).  Traces serialize to one
+little-endian binary format (``.lvt``), which is also the ingestion path
+for externally captured L-values; reading one validates every field.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, replace
 
@@ -213,6 +212,13 @@ class LValueTrace:
             raise ValueError("tributary ids out of range")
         if len(self.priors) != self.bar_m:
             raise ValueError("need one prior per tributary")
+        if self.bar_m < 1 or self.m < 1 or self.m % self.bar_m:
+            raise ValueError(f"m = {self.m} must be a positive multiple of "
+                             f"bar_m = {self.bar_m}")
+        if self.bits.size and (self.bits.max() > 1 or self.bits.min() < 0):
+            raise ValueError("bits must be 0 or 1")
+        if not np.isfinite(self.h_b):
+            raise ValueError(f"symbol entropy h_b must be finite, got {self.h_b}")
         bad = self.lvalues.size - np.count_nonzero(np.isfinite(self.lvalues))
         if bad:
             raise ValueError(f"{bad} of {self.lvalues.size} L-values are NaN or infinite")
@@ -229,9 +235,6 @@ class LValueTrace:
     def asymmetric(self):
         """Asymmetric L-values (-1)^bit * L: positive when the sign is right."""
         return np.where(self.bits == 0, self.lvalues, -self.lvalues)
-
-    def tributary_counts(self):
-        return np.bincount(self.tributaries, minlength=self.bar_m + 1)[1:]
 
 
 def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):
@@ -318,7 +321,12 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Read a binary trace; raises ValueError on bad magic or truncation."""
+    """Read a binary trace; raises ValueError on a malformed file.
+
+    Bad magic, an unknown version or flag, a size that does not match the
+    header (truncation or trailing bytes) and every check of
+    ``LValueTrace`` are all rejected.
+    """
     with open(path, "rb") as f:
         data = f.read()
     head_fmt = "<4sHHQHHddd"
@@ -330,81 +338,24 @@ def read_trace(path):
     )
     if version != _VERSION:
         raise ValueError(f"unsupported trace version {version}")
-    off = head_size
-    priors = np.frombuffer(data, dtype="<f8", count=bar_m, offset=off).copy()
-    off += 8 * bar_m
+    if flags & ~1:
+        raise ValueError(f"unknown trace flags {flags:#x}")
+    off = head_size + 8 * bar_m + (struct.calcsize("<Id") if flags & 1 else 0)
+    size = off + n * _REC_DTYPE.itemsize
+    if len(data) < size:
+        raise ValueError("trace file truncated")
+    if len(data) > size:
+        raise ValueError(f"{len(data) - size} trailing bytes after the last trace record")
+    priors = np.frombuffer(data, dtype="<f8", count=bar_m, offset=head_size).copy()
     quantizer = None
     if flags & 1:
-        n_levels, step = struct.unpack_from("<Id", data, off)
-        off += struct.calcsize("<Id")
+        n_levels, step = struct.unpack_from("<Id", data, head_size + 8 * bar_m)
         quantizer = Quantizer(n_levels=n_levels, step=step)
     rec = np.frombuffer(data, dtype=_REC_DTYPE, count=n, offset=off)
-    if rec.size != n:
-        raise ValueError("trace file truncated")
     return LValueTrace(
         bits=rec["bit"].copy(), lvalues=rec["lvalue"].copy(),
         tributaries=rec["trib"].copy(), m=m, bar_m=bar_m, scale=scale,
         scale_opt=scale_opt, priors=priors, h_b=h_b, quantizer=quantizer,
-    )
-
-
-def write_trace_csv(path, trace):
-    """CSV twin of the binary format: '# key=value' metadata, then rows."""
-    buf = io.StringIO()
-    buf.write("# psbicm-trace=1\n")
-    buf.write(f"# m={trace.m} bar_m={trace.bar_m}\n")
-    buf.write(f"# scale={trace.scale!r} scale_opt={trace.scale_opt!r} h_b={trace.h_b!r}\n")
-    buf.write("# priors=" + ",".join(repr(float(p)) for p in trace.priors) + "\n")
-    if trace.quantizer is not None:
-        buf.write(f"# quantizer={trace.quantizer.n_levels},{trace.quantizer.step!r}\n")
-    buf.write("bit,tributary,lvalue\n")
-    for b, t, l in zip(trace.bits, trace.tributaries, trace.lvalues):
-        buf.write(f"{b},{t},{float(l)!r}\n")
-    with open(path, "w") as f:
-        f.write(buf.getvalue())
-
-
-def read_trace_csv(path):
-    meta = {}
-    bits, tribs, lvals = [], [], []
-    with open(path) as f:
-        header_seen = False
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-                continue
-            if not header_seen:
-                if line != "bit,tributary,lvalue":
-                    raise ValueError("unexpected CSV header for trace file")
-                header_seen = True
-                continue
-            b, t, l = line.split(",")
-            bits.append(int(b))
-            tribs.append(int(t))
-            lvals.append(float(l))
-    if "psbicm-trace" not in meta:
-        raise ValueError("not a trace CSV (missing psbicm-trace marker)")
-    quantizer = None
-    if "quantizer" in meta:
-        n_levels, step = meta["quantizer"].split(",")
-        quantizer = Quantizer(n_levels=int(n_levels), step=float(step))
-    return LValueTrace(
-        bits=np.array(bits, dtype=np.uint8),
-        lvalues=np.array(lvals, dtype=float),
-        tributaries=np.array(tribs, dtype=np.uint8),
-        m=int(meta["m"]),
-        bar_m=int(meta["bar_m"]),
-        scale=float(meta["scale"]),
-        scale_opt=float(meta["scale_opt"]),
-        priors=np.array([float(x) for x in meta["priors"].split(",")]),
-        h_b=float(meta["h_b"]),
-        quantizer=quantizer,
     )
 
 

@@ -508,127 +508,6 @@ def generate_code(n, rate, seed=0, z=None):
     return LdpcCode.from_row_lists(rows, n, name=name)
 
 
-def _span_weight(rows, m):
-    """Scalar accumulator-span weight of one sorted row set."""
-    return int(_accumulated_weight(np.asarray(rows)[None, :], m)[0])
-
-
-def _merged_pair_weight(rows_a, rows_b, m):
-    """Codeword weight of a 2-info-bit pattern; shared rows cancel."""
-    uniq, cnt = np.unique(np.concatenate([rows_a, rows_b]), return_counts=True)
-    return 2 + _span_weight(uniq[cnt == 1], m)
-
-
-class _PegGraph:
-    """Mutable bipartite graph used while growing info columns."""
-
-    def __init__(self, n, n_rows, rng):
-        self.n, self.m, self.k = n, n_rows, n - n_rows
-        self.rng = rng
-        self.row_cols = [[] for _ in range(n_rows)]
-        self.col_rows = [[] for _ in range(n)]
-        for r in range(n_rows):             # accumulator staircase edges
-            self._link(r, self.k + r)
-            if r:
-                self._link(r, self.k + r - 1)
-        self.row_deg = np.array([len(rc) for rc in self.row_cols])
-        self.placed = []                    # sorted row sets of placed columns
-
-    def _link(self, r, c):
-        self.row_cols[r].append(c)
-        self.col_rows[c].append(r)
-
-    def _candidates(self, c, slack):
-        """Rows farthest from column c, restricted to the least loaded.
-
-        BFS over the partial graph; rows not reachable at all are
-        preferred, otherwise the deepest BFS layer, so each new edge
-        closes only the longest cycle available.
-        """
-        depth = np.full(self.m, -1)
-        frontier = list(self.col_rows[c])
-        for r in frontier:
-            depth[r] = 0
-        d = 0
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for cc in self.row_cols[r]:
-                    for rr in self.col_rows[cc]:
-                        if depth[rr] < 0:
-                            depth[rr] = d + 1
-                            nxt.append(rr)
-            frontier = nxt
-            d += 1
-        cand = np.flatnonzero(depth < 0)
-        if cand.size == 0:
-            cand = np.flatnonzero(depth == depth.max())
-        load = self.row_deg[cand]
-        return cand[load <= load.min() + slack]
-
-    def place(self, c, degree, w_floor, tries=60):
-        """Grow column c edge by edge; redraw until the span screen holds."""
-        for t in range(tries):
-            slack = 0 if t < 15 else (1 if t < 35 else 2)
-            for _ in range(degree):
-                r = int(self.rng.choice(self._candidates(c, slack)))
-                self._link(r, c)
-                self.row_deg[r] += 1
-            rows = np.sort(np.asarray(self.col_rows[c]))
-            ok = 1 + _span_weight(rows, self.m) >= w_floor and all(
-                _merged_pair_weight(rows, prev, self.m) >= w_floor
-                for prev in self.placed
-            )
-            if ok:
-                self.placed.append(rows)
-                return True
-            for r in self.col_rows[c]:
-                self.row_cols[r].remove(c)
-                self.row_deg[r] -= 1
-            self.col_rows[c] = []
-        return False
-
-
-def peg_code(n, degrees, seed=0, w_floor=None, name=None):
-    """Staircase-IRA code with progressively grown info columns.
-
-    ``degrees`` lists the target check degree of each of the k = n -
-    len(degrees) information columns, in codeword-position order.
-    Columns are constructed lightest first; every edge attaches to the
-    farthest reachable (then least loaded) check row, so short cycles
-    appear only when unavoidable.  On top of the growth rule, a column
-    is accepted only while every codeword built from it and at most one
-    previously placed column keeps accumulator weight >= ``w_floor``
-    (default scales with the row count, 26 at the shipped 504), which
-    removes the sparse near-codewords that otherwise dominate the
-    high-SNR tail of the staircase family.
-    """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    n_rows = n - degrees.size
-    if w_floor is None:
-        w_floor = max(6, min(26, n_rows // 12))
-    if n_rows < 2 or degrees.size < 1:
-        raise ValueError("need at least one info column and two check rows")
-    if degrees.min() < 2:
-        raise ValueError("info column degrees must be at least 2")
-    if degrees.max() > n_rows:
-        raise ValueError("column degree exceeds the number of check rows")
-    graph = _PegGraph(n, n_rows, np.random.default_rng(seed))
-    order = np.argsort(degrees, kind="stable")
-    for c in order:
-        if not graph.place(int(c), int(degrees[c]), w_floor):
-            raise ValueError("could not satisfy the weight floor; "
-                             "lower w_floor or lighten the degree profile")
-    if name is None:
-        name = f"pegira_n{n}_k{degrees.size}_s{seed}"
-    return LdpcCode.from_row_lists(graph.row_cols, n, name=name)
-
-
-# degree profile and seed reproducing the shipped data/n1008_r12.alist
-REFERENCE_DEGREES = (3,) * 330 + (10,) * 174
-REFERENCE_SEED = 1
-
-
 # --- alist I/O -----------------------------------------------------------
 
 def write_alist(code, path):
@@ -709,11 +588,14 @@ def read_alist(path, name=None):
 def reference_code():
     """The shipped n=1008, rate-1/2 staircase-IRA code.
 
-    The packaged alist is frozen output of
-    ``peg_code(1008, REFERENCE_DEGREES, seed=REFERENCE_SEED)``: 330
-    degree-3 columns followed by 174 degree-10 columns (light columns
-    first, which also places them on the weakest tributary under the
-    block bit mapping).
+    The packaged alist is frozen output of a progressive-edge-growth
+    (PEG, Hu, Eleftheriou and Arnold 2005) construction over the
+    staircase accumulator, with a screen against low-weight
+    accumulator-span codewords: 330 degree-3 columns followed by 174
+    degree-10 columns (light columns first, which also places them on
+    the weakest tributary under the block bit mapping), seed 1.  It was
+    generated by ``fec.peg_code`` at commit 83bf1fe, since removed; the
+    file is pinned by its SHA-256 in the tests.
     """
     ref = resources.files("psbicm").joinpath(_REFERENCE_ALIST)
     with resources.as_file(ref) as path:

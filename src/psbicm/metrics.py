@@ -29,7 +29,7 @@ optimum is the global one, and an optimum at a bracket end is flagged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,20 +221,6 @@ def gmi_from_trace(trace, s="optimize"):
                      at_boundary=boundary)
 
 
-def gmi(bits, y, constellation, pmf, assumed_snr_linear, s="optimize"):
-    """GMI from transmitted bits (n_sym, m) and received symbols.
-
-    Demaps ``y`` under the assumed-SNR auxiliary channel, assembles a
-    matched unit-scale trace and delegates to ``gmi_from_trace``.
-    """
-    from .demapper import extrinsic_lvalues, make_trace
-
-    lex = extrinsic_lvalues(y, constellation, pmf, assumed_snr_linear)
-    pri = pmf.log_priors()[np.arange(constellation.m) % pmf.bar_m]
-    trace = make_trace(bits, pri + lex, pmf)
-    return gmi_from_trace(trace, s=s)
-
-
 def ngmi(gmi_bits, h_b, m):
     """Normalized GMI 1 - (H(B) - GMI)/m (the achievable binary code rate)."""
     return 1.0 - (h_b - gmi_bits) / m
@@ -371,7 +357,7 @@ class MetricReport:
 
     Quantized-ASI and rate-accounting fields are NaN when no quantizer or
     code rate applies.  The boundary flags mark a scaling search that
-    ended at its bracket.  Serialized as JSON or one fixed-schema CSV row.
+    ended at its bracket.
     """
 
     pre_fec_ber: float
@@ -391,22 +377,6 @@ class MetricReport:
     code_rate_bound: float
     gmi_at_boundary: bool
     decoder_scale_at_boundary: bool
-
-    SCHEMA = "psbicm-metrics-v2"
-
-    @classmethod
-    def csv_header(cls):
-        return ",".join(f.name for f in fields(cls))
-
-    def csv_row(self):
-        return ",".join(str(int(v)) if isinstance(v, bool) else repr(v)
-                        for v in list(self.to_json().values())[:-1])
-
-    def to_json(self):
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d = {k: v if isinstance(v, bool) else float(v) for k, v in d.items()}
-        d["schema"] = self.SCHEMA
-        return d
 
 
 def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):

@@ -91,7 +91,6 @@ class PasStream:
         self._rng = np.random.default_rng(seed)
         self._amp_buffer = np.empty(0, dtype=np.int64)
         self.matcher_payloads = []
-        self.frames_sent = 0
 
     def _bits(self, size):
         return self._rng.integers(0, 2, size=size, dtype=np.uint8)
@@ -128,7 +127,6 @@ class PasStream:
         slot_bits = apply_mapping(cw, mapping)
         bits_2d = slot_bits.reshape(-1, 2 * self.bar_m)
         labels = self.constellation.bits_to_labels(bits_2d)
-        self.frames_sent += 1
         return PasFrame(codeword=cw, labels=labels, mapping=mapping, amplitudes=amps)
 
 

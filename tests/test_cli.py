@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from psbicm.cli import _parse_grid, main
+from psbicm import cli
+from psbicm.cli import FECSCAN_SCHEMA, METRICS_SCHEMA, _csv_header, _parse_grid, main
 from psbicm.fec import read_alist
 from psbicm.metrics import MetricReport
 
@@ -41,7 +42,7 @@ def test_sweep_csv_and_json(tmp_path):
             "--json-out", str(jout)]
     assert main(argv) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "snr_db," + MetricReport.csv_header()
+    assert lines[0] == "snr_db," + _csv_header(MetricReport)
     assert len(lines) == 3
     rows = [dict(zip(lines[0].split(","), map(float, l.split(",")))) for l in lines[1:]]
     assert rows[0]["snr_db"] == 0.0 and rows[1]["snr_db"] == 4.0
@@ -49,9 +50,10 @@ def test_sweep_csv_and_json(tmp_path):
     assert rows[0]["pre_fec_ber"] > rows[1]["pre_fec_ber"]
 
     doc = json.loads(jout.read_text())
-    assert doc["schema"] == MetricReport.SCHEMA
+    assert doc["schema"] == METRICS_SCHEMA
     assert doc["config"]["format"] == "qpsk" and doc["config"]["seed"] == 3
     assert doc["rows"][1]["asi"] == rows[1]["asi"]
+    assert sorted(doc["rows"][0]) == sorted(lines[0].split(","))
 
 
 def test_sweep_deterministic_and_worker_invariant(tmp_path, monkeypatch):
@@ -80,17 +82,36 @@ def test_sweep_validation_failures(tmp_path):
 
 def test_fecscan_small_run(tmp_path):
     out = tmp_path / "scan.csv"
+    jout = tmp_path / "scan.json"
     argv = ["fecscan", "--format", "qpsk", "--snr-db", "8", "--rate", "1/2",
             "--n", "96", "--codewords", "8", "--mapping", "fs1",
-            "--out", str(out)]
+            "--out", str(out), "--json-out", str(jout)]
     assert main(argv) == 0
     header, row = out.read_text().strip().split("\n")
     vals = dict(zip(header.split(","), row.split(",")))
     assert float(vals["post_fec_ber"]) == 0.0 and vals["hd_fec_pass"] == "1"
     assert float(vals["asi"]) > 0.9
+    # ints are written as ints, and the BP failure counts are columns
+    assert vals["frames"] == "8"
+    assert vals["bp_failures"] == "0" and vals["restarts_used"] == "0"
+    doc = json.loads(jout.read_text())
+    assert doc["schema"] == FECSCAN_SCHEMA
+    assert list(doc["rows"][0]) == sorted(header.split(","))
+    assert doc["rows"][0]["frames"] == 8 and doc["rows"][0]["hd_fec_pass"] is True
 
     assert main(["fecscan", "--snr-db", "8", "--code-file", "x.alist",
                  "--rate", "1/2", "--out", str(out)]) == 2
+
+
+def test_fecscan_shaped_preset_fails_before_dispatch(tmp_path, monkeypatch):
+    # preset i on the shipped rate-1/2 code has more parity bits than sign
+    # slots (n - k = 504 > n/bar_m = 336); no grid point may start
+    def no_dispatch(fn, configs):
+        raise AssertionError("dispatched an infeasible scan")
+
+    monkeypatch.setattr(cli, "_dispatch", no_dispatch)
+    assert main(["fecscan", "--format", "64qam", "--pmf-preset", "i",
+                 "--snr-db", "8", "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_ingest_matches_sweep_row(tmp_path):

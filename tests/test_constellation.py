@@ -114,7 +114,7 @@ def test_modulate_roundtrip():
 
 def test_custom_constellation_roundtrip_and_validation():
     con0, _ = star8qam()
-    spec = con0.to_json()
+    spec = {"points": [[p.real, p.imag] for p in con0.points]}
     con1, pmf1 = custom_constellation(spec)
     assert np.allclose(con1.points, con0.points)
     assert con1.m == 3 and not con1.square

@@ -18,9 +18,7 @@ from psbicm.demapper import (
     make_trace,
     quantize_trace,
     read_trace,
-    read_trace_csv,
     write_trace,
-    write_trace_csv,
 )
 
 PAS_I = [0.698, 0.263, 0.037, 0.002]
@@ -175,7 +173,7 @@ def test_trace_layout_and_metadata():
     assert tr.n == 3000 and tr.m == 6 and tr.bar_m == 3
     assert tr.scale == 1.0 and tr.scale_opt == pytest.approx(1.0)
     assert tr.tributaries[:6].tolist() == [1, 2, 3, 1, 2, 3]
-    assert tr.tributary_counts().tolist() == [1000, 1000, 1000]
+    assert np.bincount(tr.tributaries)[1:].tolist() == [1000, 1000, 1000]
     la = tr.asymmetric()
     flip = tr.bits == 1
     assert np.allclose(la[flip], -tr.lvalues[flip])
@@ -199,17 +197,6 @@ def test_trace_binary_roundtrip(tmp_path):
         assert back.quantizer == tr.quantizer
 
 
-def test_trace_csv_roundtrip(tmp_path):
-    tr = _small_trace(Quantizer(32, 0.4))
-    p = tmp_path / "t.csv"
-    write_trace_csv(p, tr)
-    back = read_trace_csv(p)
-    assert np.array_equal(back.bits, tr.bits)
-    assert np.array_equal(back.lvalues, tr.lvalues)   # repr round-trips floats
-    assert back.quantizer == tr.quantizer
-    assert back.scale_opt == tr.scale_opt
-
-
 def test_trace_bad_files(tmp_path):
     p = tmp_path / "bad.lvt"
     p.write_bytes(b"NOPE" + b"\0" * 64)
@@ -221,10 +208,39 @@ def test_trace_bad_files(tmp_path):
     p2.write_bytes(p2.read_bytes()[:-100])
     with pytest.raises(ValueError):
         read_trace(p2)
-    p3 = tmp_path / "bad.csv"
-    p3.write_text("bit,tributary,lvalue\n0,1,0.5\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(p3)
+    # cut inside the quantizer header, before any record
+    write_trace(p2, _small_trace(Quantizer(16, 1.0)))
+    p2.write_bytes(p2.read_bytes()[:struct.calcsize("<4sHHQHHddd") + 24 + 5])
+    with pytest.raises(ValueError, match="truncated"):
+        read_trace(p2)
+
+
+def test_trace_malformed_fields_rejected(tmp_path):
+    # each case patches one field of a valid written trace; header layout
+    # "<4sHHQHHddd" puts flags at byte 6, m at byte 16 and h_b at byte 36,
+    # records follow the bar_m priors as (bit u1, tributary u1, lvalue f8)
+    tr = _small_trace()
+    p = tmp_path / "t.lvt"
+    write_trace(p, tr)
+    good = p.read_bytes()
+    rec0 = struct.calcsize("<4sHHQHHddd") + 8 * tr.bar_m
+
+    def patched(offset, payload):
+        return good[:offset] + payload + good[offset + len(payload):]
+
+    cases = {
+        "bits must be 0 or 1": patched(rec0, b"\x02"),
+        "positive multiple of": patched(16, struct.pack("<H", 5)),
+        "h_b must be finite": patched(36, struct.pack("<d", float("nan"))),
+        "trailing bytes": good + b"\0" * 3,
+        "unknown trace flags": patched(6, struct.pack("<H", 2)),
+    }
+    for message, data in cases.items():
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            read_trace(p)
+    p.write_bytes(good)
+    assert np.array_equal(read_trace(p).lvalues, tr.lvalues)
 
 
 def test_trace_validation():
@@ -238,6 +254,12 @@ def test_trace_validation():
         LValueTrace(
             bits=np.zeros(4, np.uint8), lvalues=np.zeros(4),
             tributaries=np.full(4, 5, np.uint8), m=2, bar_m=1, scale=1.0,
+            scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
+        )
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        LValueTrace(
+            bits=np.array([0, -1, 1, 0]), lvalues=np.zeros(4),
+            tributaries=np.ones(4, np.uint8), m=2, bar_m=1, scale=1.0,
             scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
         )
 

@@ -1,21 +1,20 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from psbicm import ChannelConfig, DemapperConfig, awgn, square_qam
 from psbicm.fec import (
     HD_FEC_THRESHOLD,
-    REFERENCE_DEGREES,
-    REFERENCE_SEED,
     BitMapping,
     LdpcCode,
-    _span_weight,
     apply_mapping,
     build_mapping,
     decode,
     encode,
     generate_code,
     invert_mapping,
-    peg_code,
     post_fec_ber,
     read_alist,
     reference_code,
@@ -318,7 +317,7 @@ def test_reference_code_properties():
     assert code.n == 1008 and code.k == 504
     assert code.encoder == "staircase" and code.effective_k == 504
     # light columns first, then the heavy tail of the degree profile
-    assert np.array_equal(code.col_degrees[:code.k], REFERENCE_DEGREES)
+    assert code.col_degrees[:code.k].tolist() == [3] * 330 + [10] * 174
     # no two columns share more than one check row (no length-4 cycles)
     h = code.to_dense().astype(np.int64)
     gram = h @ h.T
@@ -326,35 +325,15 @@ def test_reference_code_properties():
     assert gram.max() <= 1
 
 
-def test_reference_code_matches_generator():
-    shipped = reference_code()
-    rebuilt = peg_code(1008, REFERENCE_DEGREES, seed=REFERENCE_SEED)
-    assert np.array_equal(shipped.row_ptr, rebuilt.row_ptr)
-    assert np.array_equal(shipped.row_cols, rebuilt.row_cols)
-
-
-def test_peg_code_structure_and_screen():
-    degrees = [3] * 40 + [8] * 20
-    code = peg_code(120, degrees, seed=4, w_floor=12)
-    assert code.n == 120 and code.k == 60
-    assert code.encoder == "staircase" and code.effective_k == code.k
-    assert np.array_equal(code.col_degrees[:code.k], degrees)
-    # every single info column clears the accumulator span floor
-    for c in range(code.k):
-        rows = np.flatnonzero(code.to_dense()[:, c])
-        assert 1 + _span_weight(rows, code.n_rows) >= 12
-    # deterministic for a fixed seed
-    again = peg_code(120, degrees, seed=4, w_floor=12)
-    assert np.array_equal(code.row_cols, again.row_cols)
-
-
-def test_peg_code_validation():
-    with pytest.raises(ValueError):
-        peg_code(10, [1] * 5, seed=0)        # degree below 2
-    with pytest.raises(ValueError):
-        peg_code(8, [9] * 4, seed=0)         # degree exceeds rows
-    with pytest.raises(ValueError):
-        peg_code(6, [3] * 5, seed=0)         # only one check row
+def test_reference_code_matches_pinned_file():
+    # the shipped alist is frozen: a changed file changes every study that
+    # uses the reference code, so it is pinned byte for byte
+    data = resources.files("psbicm").joinpath("data/n1008_r12.alist").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "6de70928160639f442ee5bed635df37830d02a46c0c7d6cca0d7fd8125515c42")
+    code = reference_code()
+    assert code.row_ptr.size == code.n_rows + 1 == 505
+    assert code.row_cols.size == 3737
 
 
 def test_alist_roundtrip(tmp_path):

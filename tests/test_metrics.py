@@ -14,7 +14,6 @@ from psbicm.metrics import (
     asi_mc,
     bmd_rate,
     compute_report,
-    gmi,
     gmi_from_trace,
     ngmi,
     pre_fec_ber,
@@ -23,6 +22,7 @@ from psbicm.metrics import (
     soft_bit_cost,
     tributary_conditional_entropies,
 )
+from psbicm.cli import METRICS_SCHEMA, _csv_header, _csv_row, _json_row
 from psbicm.shaping import amplitude_preset
 
 PAS_II = amplitude_preset("ii")
@@ -346,33 +346,18 @@ def test_report_fields_and_serialization():
     assert rep_q.info_rate == pytest.approx(tr.h_b - 0.02 - 1.0, abs=1e-12)
     assert rep_q.bmd_rate_net == pytest.approx(rep_q.delta_h - 0.02, abs=1e-12)
 
-    header = MetricReport.csv_header()
+    header = _csv_header(MetricReport)
     assert header.split(",")[0] == "pre_fec_ber"
-    row = rep_q.csv_row()
+    row = _csv_row(rep_q)
     vals = [float(v) for v in row.split(",")]
     assert len(vals) == len(header.split(","))
     assert vals[0] == rep_q.pre_fec_ber
-    as_json = rep_q.to_json()
-    assert as_json["schema"] == "psbicm-metrics-v2"
+    assert METRICS_SCHEMA == "psbicm-metrics-v3"
+    as_json = _json_row(rep_q)
+    assert list(as_json) == header.split(",")        # no per-row schema key
     assert as_json["r_fec_star"] == rep_q.r_fec_star
     # the search boundary flags: JSON booleans, CSV 0/1
     assert as_json["gmi_at_boundary"] is False
     assert as_json["decoder_scale_at_boundary"] is False
     assert row.endswith(",0,0")
 
-
-def test_gmi_convenience_matches_trace_path():
-    con, pmf = square_qam(6, amplitude_pmf=PAS_II)
-    rng = np.random.default_rng(73)
-    labels = draw_labels(pmf, 20_000, rng)
-    cfg = ChannelConfig(10.0, seed=73)
-    y = awgn(con.points[labels], cfg)
-    bits = con.labels_to_bits(labels)
-
-    direct = gmi(bits, y, con, pmf, cfg.snr_linear, s=1.0)
-    via_trace = gmi_from_trace(
-        demap_to_trace(labels, y, con, pmf, DemapperConfig(assumed_snr_db=10.0),
-                       channel_snr_linear=cfg.snr_linear),
-        s=1.0,
-    )
-    assert direct.gmi_bits == via_trace.gmi_bits
