@@ -1,7 +1,7 @@
 """Probabilistically shaped BICM simulation toolkit.
 
 Building blocks for a coded-modulation transceiver over AWGN — Gray
-QAM/star constellations, constant-composition distribution matching,
+square QAM constellations, constant-composition distribution matching,
 soft-demapping to bit L-values, LDPC coding with configurable bit
 mappings — plus decoding-aware performance metrics (pre-FEC BER, GMI,
 NGMI, BMD rates, achievable-FEC-rate and the asymmetric-information
@@ -15,8 +15,6 @@ from .constellation import (
     entropy_stats,
     gray_pam_levels,
     square_qam,
-    star8qam,
-    custom_constellation,
     draw_labels,
 )
 from .shaping import (

@@ -1,38 +1,42 @@
-"""Constellations, binary labelings and symbol distributions.
+"""Square QAM constellations, their bit labeling and symbol distributions.
 
-Complex 2-D constellations with an explicit bit labeling, normalized to unit
-average energy under the active symbol distribution.  Square QAM formats are
-built as products of two Gray-labeled PAM alphabets so that bit-wise
-quantities factor per dimension; an 8-point star format and arbitrary
-JSON-described constellations are supported as generic 2-D alphabets.
+Every format is Gray-labeled square QAM: the product of two identical
+PAM alphabets, one per real dimension, normalized to unit average energy
+under the active symbol distribution.  The symbol distribution is a
+product too (I and Q independent, sharing one 1-D pmf), so bit-wise
+quantities factor per dimension.
 
-Labeling convention for PAM/QAM (fixed once, used everywhere):
+Labeling convention (fixed once, used everywhere):
 
 * each 1-D (PAM) label has ``bar_m`` bits, most significant first;
 * bit 1 is the sign bit, ``0`` meaning a positive amplitude;
 * bits 2..bar_m select the amplitude through a binary-reflected Gray code;
-* the all-zeros label sits on the most positive amplitude.
+* the all-zeros label sits on the most positive amplitude;
+* the 2-D label is ``l_I << bar_m | l_Q``.
 
 With this choice the amplitude of a 1-D symbol depends only on bits
 2..bar_m, which is what lets a shaping encoder drive amplitudes while sign
-bits stay uniform.  Bit position ``p`` (0-based, over the ``m`` bits of a
-2-D label) belongs to tributary ``p % bar_m + 1`` for square formats; for
-generic formats every position is its own tributary.
+bits stay uniform.  Bit position ``p`` (0-based, over the ``m = 2*bar_m``
+bits of a 2-D label) belongs to tributary ``p % bar_m + 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-_LN2 = np.log(2.0)
 
 
 def _entropy_bits(p):
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def gray_pam_levels(bar_m):
@@ -52,7 +56,7 @@ def gray_pam_levels(bar_m):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-energy 2-D constellation with bit labeling.
+    """Unit-energy square QAM constellation with bit labeling.
 
     Attributes
     ----------
@@ -60,30 +64,24 @@ class Constellation:
     points : complex ndarray, shape (2**m,)
         Point of label ``j`` at index ``j``; average energy 1 under the
         pmf the constellation was normalized with.
-    m : int
-        Bits per 2-D symbol.
     bar_m : int
-        Bits per tributary group: ``m // 2`` for square formats, ``m``
-        otherwise.
-    square : bool
-        True when the format factors into two independent PAM dimensions.
-    pam_points : float ndarray or None
-        For square formats, scaled 1-D levels indexed by 1-D label.
+        Bits per PAM dimension, which is also the number of tributaries.
     scale : float
         Division factor applied to the raw integer grid.
+    pam_points : float ndarray, shape (2**bar_m,)
+        Scaled 1-D levels indexed by 1-D label.
     """
 
     name: str
     points: np.ndarray
-    m: int
     bar_m: int
-    square: bool
     scale: float
-    pam_points: np.ndarray | None = None
+    pam_points: np.ndarray
 
     @property
-    def n_points(self):
-        return self.points.size
+    def m(self):
+        """Bits per 2-D symbol."""
+        return 2 * self.bar_m
 
     def labels_to_bits(self, labels):
         """(..., ) label integers -> (..., m) bit array, MSB first."""
@@ -96,32 +94,48 @@ class Constellation:
         weights = 1 << np.arange(self.m - 1, -1, -1)
         return (bits * weights).sum(axis=-1)
 
-    def modulate(self, bits):
-        """Map (n_sym, m) bits to complex symbols."""
-        return self.points[self.bits_to_labels(bits)]
-
 
 @dataclass(frozen=True)
 class SymbolPmf:
-    """Symbol distribution over a constellation's labels.
+    """Product symbol distribution of a square QAM format.
 
-    ``p[j]`` is the probability of label ``j``.  ``amplitude_pmf`` is the
-    1-D amplitude distribution over ascending odd amplitudes (square
-    formats with sign-symmetric pmfs only).
+    ``p_dim[l]`` is the probability of 1-D label ``l``; I and Q draw
+    their labels independently from it.  Everything derived from it is
+    computed once, on first use, and returned read-only.
     """
 
-    p: np.ndarray
-    m: int
+    p_dim: np.ndarray
     bar_m: int
-    amplitude_pmf: np.ndarray | None = None
 
     def __post_init__(self):
-        s = float(np.sum(self.p))
+        p_dim = _read_only(np.array(self.p_dim, dtype=float))
+        if p_dim.shape != (1 << self.bar_m,):
+            raise ValueError(f"need {1 << self.bar_m} 1-D label probabilities, "
+                             f"got shape {p_dim.shape}")
+        s = float(np.sum(p_dim))
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"symbol pmf sums to {s!r}, not 1")
-        if np.any(np.asarray(self.p) < 0):
+        if np.any(p_dim < 0):
             raise ValueError("symbol pmf has negative entries")
+        object.__setattr__(self, "p_dim", p_dim)
 
+    @property
+    def m(self):
+        return 2 * self.bar_m
+
+    @cached_property
+    def p(self):
+        """Joint pmf: ``p[j]`` is the probability of 2-D label ``j``."""
+        return _read_only(np.outer(self.p_dim, self.p_dim).reshape(-1))
+
+    @cached_property
+    def log_p_dim(self):
+        """ln of the 1-D label pmf, as the row sums of the joint ``p``."""
+        n = self.p_dim.size
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log(self.p.reshape(n, n).sum(axis=1)))
+
+    @cached_property
     def bit_marginals(self):
         """Per label position: (m, 2) array of P(bit = 0), P(bit = 1)."""
         m = self.m
@@ -131,31 +145,23 @@ class SymbolPmf:
             b = (labels >> (m - 1 - pos)) & 1
             p1 = float(self.p[b == 1].sum())
             out[pos] = (1.0 - p1, p1)
-        return out
+        return _read_only(out)
 
+    @property
     def tributary_marginals(self):
-        """(n_trib, 2) bit marginals, positions of a tributary pooled.
+        """(bar_m, 2) bit marginals per tributary (the I positions; Q is equal)."""
+        return self.bit_marginals[:self.bar_m]
 
-        Raises if positions sharing a tributary disagree (cannot happen
-        for the shipped formats).
-        """
-        bm = self.bit_marginals()
-        n_trib = self.bar_m
-        out = np.empty((n_trib, 2))
-        for t in range(n_trib):
-            rows = bm[t::n_trib]
-            if not np.allclose(rows, rows[0], atol=1e-12):
-                raise ValueError(f"tributary {t + 1}: I/Q marginals differ")
-            out[t] = rows[0]
-        return out
-
+    @cached_property
     def log_priors(self):
-        """A-priori L-values ln(P(0)/P(1)) per tributary, shape (n_trib,)."""
-        tm = self.tributary_marginals()
+        """A-priori L-values ln(P(0)/P(1)) per tributary, shape (bar_m,)."""
+        tm = self.tributary_marginals
         with np.errstate(divide="ignore"):
-            return np.log(tm[:, 0]) - np.log(tm[:, 1])
+            return _read_only(np.log(tm[:, 0]) - np.log(tm[:, 1]))
 
+    @cached_property
     def entropy(self):
+        """Joint label entropy H(B) in bits per 2-D symbol."""
         return _entropy_bits(self.p)
 
 
@@ -175,14 +181,8 @@ class EntropyStats:
 
 def entropy_stats(pmf):
     """Compute H(B), per-position H(B_i) and their sum for a SymbolPmf."""
-    bm = pmf.bit_marginals()
-    h_bi = np.array([_entropy_bits(row) for row in bm])
-    return EntropyStats(h_b=pmf.entropy(), h_bi=h_bi, sum_h_bi=float(h_bi.sum()))
-
-
-def _product_pmf(pmf_1d):
-    """Joint label pmf of two independent identically distributed PAM dims."""
-    return np.outer(pmf_1d, pmf_1d).reshape(-1)    # index = labelI * size + labelQ
+    h_bi = np.array([_entropy_bits(row) for row in pmf.bit_marginals])
+    return EntropyStats(h_b=pmf.entropy, h_bi=h_bi, sum_h_bi=float(h_bi.sum()))
 
 
 def square_qam(m, amplitude_pmf=None, name=None):
@@ -227,77 +227,9 @@ def square_qam(m, amplitude_pmf=None, name=None):
 
     if name is None:
         name = "qpsk" if m == 2 else f"{1 << m}qam"
-    con = Constellation(name=name, points=points, m=m, bar_m=bar_m,
-                        square=True, scale=scale, pam_points=pam)
-    pmf = SymbolPmf(p=_product_pmf(pmf_1d), m=m, bar_m=bar_m,
-                    amplitude_pmf=amplitude_pmf)
-    return con, pmf
-
-
-_SQRT3 = np.sqrt(3.0)
-# label -> raw point, outer ring at (+-(1+sqrt3), +-(1+sqrt3)), inner at +-2, +-2j
-_STAR8_RAW = {
-    0b000: (1 + _SQRT3, 1 + _SQRT3),
-    0b001: (0.0, 2.0),
-    0b011: (-(1 + _SQRT3), 1 + _SQRT3),
-    0b010: (-2.0, 0.0),
-    0b110: (-(1 + _SQRT3), -(1 + _SQRT3)),
-    0b111: (0.0, -2.0),
-    0b101: (1 + _SQRT3, -(1 + _SQRT3)),
-    0b100: (2.0, 0.0),
-}
-
-
-def star8qam():
-    """8-point star constellation (alternating two-ring octagon), m = 3.
-
-    Uniform symbol pmf; the quasi-Gray labeling above is stored verbatim
-    and scaled to unit average energy.
-    """
-    pts = np.empty(8, dtype=complex)
-    for lab, (re, im) in _STAR8_RAW.items():
-        pts[lab] = re + 1j * im
-    scale = np.sqrt(np.mean(np.abs(pts) ** 2))   # sqrt(6 + 2*sqrt(3))
-    con = Constellation(name="star8qam", points=pts / scale, m=3, bar_m=3,
-                        square=False, scale=float(scale))
-    pmf = SymbolPmf(p=np.full(8, 1 / 8), m=3, bar_m=3)
-    return con, pmf
-
-
-def custom_constellation(spec, name="custom"):
-    """Build a generic 2-D constellation from a JSON-style dict.
-
-    ``spec`` needs ``points`` (list of [re, im]) and may carry ``labels``
-    (a permutation of 0..M-1 giving the label of each listed point;
-    defaults to list order) and ``pmf``.  M must be a power of two.
-    Points are renormalized to unit average energy under the pmf.
-    """
-    pts_in = np.asarray(spec["points"], dtype=float)
-    if pts_in.ndim != 2 or pts_in.shape[1] != 2:
-        raise ValueError("points must be a list of [re, im] pairs")
-    n = pts_in.shape[0]
-    m = int(n).bit_length() - 1
-    if n < 2 or (1 << m) != n:
-        raise ValueError(f"number of points must be a power of two, got {n}")
-    labels = np.asarray(spec.get("labels", np.arange(n)), dtype=int)
-    if sorted(labels.tolist()) != list(range(n)):
-        raise ValueError("labels must be a permutation of 0..M-1")
-    pmf_in = np.asarray(spec.get("pmf", np.full(n, 1.0 / n)), dtype=float)
-    if pmf_in.size != n:
-        raise ValueError("pmf length must match number of points")
-
-    points = np.empty(n, dtype=complex)
-    p = np.empty(n)
-    points[labels] = pts_in[:, 0] + 1j * pts_in[:, 1]
-    p[labels] = pmf_in
-    pmf = SymbolPmf(p=p, m=m, bar_m=m)       # validates normalization
-    e = float((p * np.abs(points) ** 2).sum())
-    if e <= 0:
-        raise ValueError("constellation has zero energy")
-    scale = np.sqrt(e)
-    con = Constellation(name=str(spec.get("name", name)), points=points / scale,
-                        m=m, bar_m=m, square=False, scale=scale)
-    return con, pmf
+    con = Constellation(name=name, points=points, bar_m=bar_m, scale=scale,
+                        pam_points=pam)
+    return con, SymbolPmf(p_dim=pmf_1d, bar_m=bar_m)
 
 
 def draw_labels(pmf, n_symbols, rng):

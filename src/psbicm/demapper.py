@@ -10,8 +10,8 @@ of the bitwise auxiliary channel: a Gaussian with variance taken from an
 *assumed* SNR that may differ from the true channel SNR.  ``s`` scales
 only the extrinsic part.  Positive L-values vote for bit 0.
 
-For square QAM with a product pmf the computation factors per real
-dimension; any other constellation is handled by a full 2-D sum.
+Constellations are square QAM with a product pmf, so the computation
+factors per real dimension.
 
 A demap run is captured as an :class:`LValueTrace` — flattened
 (bit, tributary, L-value) records plus the metadata the metric estimators
@@ -111,62 +111,33 @@ def _lse_subset(w, mask):
 
 
 def _position_priors(pmf):
-    # canonical per-tributary priors broadcast to label positions, so the
-    # prior/extrinsic split is bit-exact against the trace metadata
-    pri_t = pmf.log_priors()
-    n_trib = pri_t.size
-    return pri_t[np.arange(pmf.m) % n_trib]
-
-
-def _is_product_pmf(pmf, bar_m):
-    joint = pmf.p.reshape(1 << bar_m, 1 << bar_m)
-    pi = joint.sum(axis=1)
-    pq = joint.sum(axis=0)
-    return np.allclose(joint, np.outer(pi, pq), atol=1e-13)
+    # the per-tributary priors repeated for the I and the Q positions, so
+    # the prior/extrinsic split is bit-exact against the trace metadata
+    return np.tile(pmf.log_priors, 2)
 
 
 def extrinsic_lvalues(y, constellation, pmf, assumed_snr_linear):
     """Extrinsic L-values, shape (n_symbols, m).
 
     Exact bitwise-posterior ratios minus the prior offsets, under the
-    assumed-SNR Gaussian.  Factorizes per dimension for square formats
-    with product pmfs.
+    assumed-SNR Gaussian, computed per real dimension.
     """
     y = np.asarray(y, dtype=complex).ravel()
-    m = constellation.m
+    bar_m = constellation.bar_m
+    lev = constellation.pam_points
+    logp1 = pmf.log_p_dim             # I and Q share this pmf
     pri = _position_priors(pmf)
-    out = np.empty((y.size, m))
-
-    if constellation.square and _is_product_pmf(pmf, constellation.bar_m):
-        bar_m = constellation.bar_m
-        lev = constellation.pam_points
-        n_lab = lev.size
-        p1 = pmf.p.reshape(n_lab, n_lab).sum(axis=1)   # I and Q share this pmf
-        with np.errstate(divide="ignore"):
-            logp1 = np.log(p1)
-        labels = np.arange(n_lab)
-        masks = [((labels >> (bar_m - 1 - i)) & 1) == 0 for i in range(bar_m)]
-        for lo in range(0, y.size, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            for d, yd in ((0, y.real[sl]), (1, y.imag[sl])):
-                w = logp1 - assumed_snr_linear * (yd[:, None] - lev) ** 2
-                for i in range(bar_m):
-                    pos = d * bar_m + i
-                    l_ex = _lse_subset(w, masks[i]) - _lse_subset(w, ~masks[i])
-                    out[sl, pos] = l_ex - pri[pos]
-        return out
-
-    points = constellation.points
-    with np.errstate(divide="ignore"):
-        logp = np.log(pmf.p)
-    labels = np.arange(points.size)
-    masks = [((labels >> (m - 1 - i)) & 1) == 0 for i in range(m)]
+    out = np.empty((y.size, constellation.m))
+    labels = np.arange(lev.size)
+    masks = [((labels >> (bar_m - 1 - i)) & 1) == 0 for i in range(bar_m)]
     for lo in range(0, y.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        d2 = np.abs(y[sl, None] - points) ** 2
-        w = logp - assumed_snr_linear * d2
-        for i in range(m):
-            out[sl, i] = _lse_subset(w, masks[i]) - _lse_subset(w, ~masks[i]) - pri[i]
+        for d, yd in ((0, y.real[sl]), (1, y.imag[sl])):
+            w = logp1 - assumed_snr_linear * (yd[:, None] - lev) ** 2
+            for i in range(bar_m):
+                pos = d * bar_m + i
+                l_ex = _lse_subset(w, masks[i]) - _lse_subset(w, ~masks[i])
+                out[sl, pos] = l_ex - pri[pos]
     return out
 
 
@@ -257,8 +228,8 @@ def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):
         bar_m=bar_m,
         scale=float(scale),
         scale_opt=float(scale_opt),
-        priors=np.asarray(pmf.log_priors(), dtype=float),
-        h_b=pmf.entropy(),
+        priors=pmf.log_priors,
+        h_b=pmf.entropy,
         quantizer=quantizer,
     )
 
@@ -396,8 +367,6 @@ def consistency_check(trace, n_bins=41, min_count=1000):
         sel = trace.tributaries == t
         l = trace.lvalues[sel]
         b = trace.bits[sel]
-        finite = np.isfinite(l)
-        l, b = l[finite], b[finite]
         if l.size == 0:
             continue
         lo, hi = np.quantile(l, [0.001, 0.999])

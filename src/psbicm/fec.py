@@ -541,47 +541,66 @@ def write_alist(code, path):
 
 
 def read_alist(path, name=None):
-    """Read an alist file; tolerates both zero-padded and unpadded lines."""
+    """Read an alist file; tolerates both zero-padded and unpadded lines.
+
+    The column lines must list exactly the edges of the row lines, and no
+    line may list an index twice.
+    """
     text = Path(path).read_text()
     name = name or Path(path).stem
-    toks = [int(t) for t in text.split()]
+    try:
+        toks = np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"alist file holds a token that is not a 64-bit integer: {e}") from e
     pos = 0
 
     def take(count):
         nonlocal pos
-        if pos + count > len(toks):
+        if pos + count > toks.size:
             raise ValueError("truncated alist file")
         out = toks[pos:pos + count]
         pos += count
         return out
 
-    n, n_rows = take(2)
-    max_col, max_row = take(2)
+    n, n_rows = (int(v) for v in take(2))
+    max_col, max_row = (int(v) for v in take(2))
     col_deg = take(n)
     row_deg = take(n_rows)
-
-    # padded files carry max_deg entries per line (zeros beyond the
-    # degree); unpadded files carry exactly degree entries.  Detect by
-    # total token count.
-    remaining = len(toks) - pos
-    padded_total = n * max_col + n_rows * max_row
-    plain_total = sum(col_deg) + sum(row_deg)
-    if remaining == padded_total:
-        col_lists = [[v for v in take(max_col) if v] for _ in range(n)]
-        row_lists = [[v for v in take(max_row) if v] for _ in range(n_rows)]
-    elif remaining == plain_total:
-        col_lists = [take(d) for d in col_deg]
-        row_lists = [take(d) for d in row_deg]
+    # padded or plain layout, detected by total token count
+    remaining = toks.size - pos
+    if remaining == n * max_col + n_rows * max_row:
+        padded = True
+    elif remaining == col_deg.sum() + row_deg.sum():
+        padded = False
     else:
         raise ValueError("alist adjacency size matches neither padded nor plain layout")
 
-    if any(len(x) != d for x, d in zip(col_lists, col_deg)):
-        raise ValueError("column degree list disagrees with adjacency")
-    if any(len(x) != d for x, d in zip(row_lists, row_deg)):
-        raise ValueError("row degree list disagrees with adjacency")
-    rows = [[c - 1 for c in r] for r in row_lists]
-    if any(c < 0 or c >= n for r in rows for c in r):
+    def adjacency(n_lines, max_deg, degrees, what):
+        # the lines' entries, flat, and the line index of each; padded
+        # lines carry max_deg entries (zeros beyond the degree)
+        if padded:
+            block = take(n_lines * max_deg).reshape(n_lines, max_deg)
+            nonzero = block != 0
+            if not np.array_equal(nonzero.sum(axis=1), degrees):
+                raise ValueError(f"{what} degree list disagrees with adjacency")
+            entries = block[nonzero]
+        else:
+            entries = take(int(degrees.sum()))
+        return entries, np.repeat(np.arange(n_lines), degrees)
+
+    col_rows, col_of = adjacency(n, max_col, col_deg, "column")
+    row_cols, row_of = adjacency(n_rows, max_row, row_deg, "row")
+    row_cols = row_cols - 1
+    if np.any(row_cols < 0) or np.any(row_cols >= n):
         raise ValueError("column index out of range in alist file")
+    # each edge as row * n + column, once from the row lines and once
+    # from the column lines
+    row_edges = np.sort(row_of * n + row_cols)
+    if np.any(np.diff(row_edges) == 0):
+        raise ValueError("a row of the alist file lists the same column twice")
+    if not np.array_equal(row_edges, np.sort((col_rows - 1) * n + col_of)):
+        raise ValueError("alist column lines do not list the edges of the row lines")
+    rows = np.split(row_cols, np.cumsum(row_deg)[:-1])
     return LdpcCode.from_row_lists(rows, n, name=name)
 
 
@@ -759,9 +778,10 @@ def decode(code, lvalues, max_iter=50, restarts=0):
     returned.  With ``restarts=0`` (the default) the decoder is plain
     flooding BP, bit for bit.
     """
-    if (isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral)
-            or restarts < 0):
-        raise ValueError(f"restarts must be a nonnegative integer, got {restarts!r}")
+    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 0):
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     lam = np.asarray(lvalues, dtype=float)
     if lam.shape != (code.n,):
         raise ValueError(f"need n = {code.n} L-values")

@@ -267,9 +267,8 @@ def asi_floor(pmf):
     offsets, and the expectation has the closed form
     1 - (1/bar_m) sum_i sum_b P_i(b) f((-1)^b L_i^pr).
     """
-    tm = pmf.tributary_marginals()
-    with np.errstate(divide="ignore"):
-        pri = np.log(tm[:, 0]) - np.log(tm[:, 1])
+    tm = pmf.tributary_marginals
+    pri = pmf.log_priors
     total = 0.0
     for t in range(tm.shape[0]):
         total += tm[t, 0] * float(soft_bit_cost(pri[t]))

@@ -58,8 +58,6 @@ class PasStream:
 
     def __init__(self, code, constellation, pmf, composition=None,
                  mapping="fs1", mapping_seed=0, seed=0):
-        if not constellation.square:
-            raise ValueError("the shaping chain needs a square (PAM x PAM) format")
         bar_m = constellation.bar_m
         n, k = code.n, code.k
         if n % (2 * bar_m):

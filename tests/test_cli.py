@@ -103,6 +103,15 @@ def test_fecscan_small_run(tmp_path):
                  "--rate", "1/2", "--out", str(out)]) == 2
 
 
+def test_fecscan_rejects_negative_max_iter(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["fecscan", "--format", "qpsk", "--snr-db", "8", "--rate", "1/2",
+                 "--n", "96", "--codewords", "2", "--max-iter", "-4",
+                 "--out", str(out)]) == 2
+    assert "max_iter must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fecscan_shaped_preset_fails_before_dispatch(tmp_path, monkeypatch):
     # preset i on the shipped rate-1/2 code has more parity bits than sign
     # slots (n - k = 504 > n/bar_m = 336); no grid point may start

@@ -3,12 +3,10 @@ import pytest
 
 from psbicm.constellation import (
     SymbolPmf,
-    custom_constellation,
     draw_labels,
     entropy_stats,
     gray_pam_levels,
     square_qam,
-    star8qam,
 )
 
 PAS_I = [0.698, 0.263, 0.037, 0.002]   # shaped 8-PAM amplitude pmf, operating point (i)
@@ -38,13 +36,13 @@ def test_gray_adjacency():
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
 def test_square_qam_unit_energy_uniform(m):
     con, pmf = square_qam(m)
-    assert con.n_points == 2**m
+    assert con.points.size == 2**m
     e = float((pmf.p * np.abs(con.points) ** 2).sum())
     assert e == pytest.approx(1.0, abs=1e-12)
     st = entropy_stats(pmf)
     assert st.h_b == pytest.approx(m, abs=1e-12)
     assert st.sum_h_bi == pytest.approx(m, abs=1e-12)
-    assert np.all(pmf.log_priors() == 0.0)
+    assert np.all(pmf.log_priors == 0.0)
 
 
 def test_qpsk_geometry():
@@ -69,7 +67,7 @@ def test_shaped_64qam_moments_and_entropies():
 
 def test_shaped_priors():
     _, pmf = square_qam(6, amplitude_pmf=PAS_I)
-    pri = pmf.log_priors()
+    pri = pmf.log_priors
     assert pri[0] == 0.0   # sign tributary stays uniform
     # amplitude-bit marginals follow from the Gray grouping {1,3} / {3,5}
     assert pri[1] == pytest.approx(np.log(0.039 / 0.961), abs=1e-9)
@@ -78,28 +76,10 @@ def test_shaped_priors():
 
 def test_bit_marginal_tributary_pooling():
     _, pmf = square_qam(6, amplitude_pmf=PAS_I)
-    bm = pmf.bit_marginals()
+    bm = pmf.bit_marginals
     assert bm.shape == (6, 2)
     # I and Q positions of one tributary carry identical marginals
     assert np.allclose(bm[:3], bm[3:])
-
-
-def test_star8qam_table():
-    con, pmf = star8qam()
-    s = con.scale
-    raw = con.points * s
-    r = 1 + np.sqrt(3)
-    assert raw[0b000] == pytest.approx(r + 1j * r, abs=1e-12)
-    assert raw[0b001] == pytest.approx(2j, abs=1e-12)
-    assert raw[0b011] == pytest.approx(-r + 1j * r, abs=1e-12)
-    assert raw[0b010] == pytest.approx(-2, abs=1e-12)
-    assert raw[0b110] == pytest.approx(-r - 1j * r, abs=1e-12)
-    assert raw[0b111] == pytest.approx(-2j, abs=1e-12)
-    assert raw[0b101] == pytest.approx(r - 1j * r, abs=1e-12)
-    assert raw[0b100] == pytest.approx(2, abs=1e-12)
-    assert s**2 == pytest.approx(6 + 2 * np.sqrt(3), abs=1e-12)
-    assert (pmf.p * np.abs(con.points) ** 2).sum() == pytest.approx(1.0)
-    assert entropy_stats(pmf).h_b == pytest.approx(3.0)
 
 
 def test_modulate_roundtrip():
@@ -108,30 +88,24 @@ def test_modulate_roundtrip():
     labels = draw_labels(pmf, 1000, rng)
     bits = con.labels_to_bits(labels)
     assert np.array_equal(con.bits_to_labels(bits), labels)
-    sym = con.modulate(bits)
-    assert np.array_equal(sym, con.points[labels])
-
-
-def test_custom_constellation_roundtrip_and_validation():
-    con0, _ = star8qam()
-    spec = {"points": [[p.real, p.imag] for p in con0.points]}
-    con1, pmf1 = custom_constellation(spec)
-    assert np.allclose(con1.points, con0.points)
-    assert con1.m == 3 and not con1.square
-
-    with pytest.raises(ValueError):
-        custom_constellation({"points": [[0, 1], [1, 0], [0, -1]]})   # not a power of two
-    with pytest.raises(ValueError):
-        custom_constellation({"points": [[0, 1], [1, 0]], "labels": [0, 0]})
-    with pytest.raises(ValueError):
-        custom_constellation({"points": [[0, 1], [1, 0]], "pmf": [0.7, 0.7]})
 
 
 def test_symbol_pmf_validation():
     with pytest.raises(ValueError):
-        SymbolPmf(p=np.array([0.5, 0.6]), m=1, bar_m=1)
+        SymbolPmf(p_dim=np.array([0.5, 0.6]), bar_m=1)
     with pytest.raises(ValueError):
-        SymbolPmf(p=np.array([1.5, -0.5]), m=1, bar_m=1)
+        SymbolPmf(p_dim=np.array([1.5, -0.5]), bar_m=1)
+    with pytest.raises(ValueError):                   # 3 labels for bar_m = 1
+        SymbolPmf(p_dim=np.array([0.5, 0.25, 0.25]), bar_m=1)
+
+
+def test_symbol_pmf_derived_arrays_cached_read_only():
+    _, pmf = square_qam(6, amplitude_pmf=PAS_I)
+    for name in ("p_dim", "p", "log_p_dim", "bit_marginals", "log_priors"):
+        arr = getattr(pmf, name)
+        assert arr is getattr(pmf, name)
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_draw_labels_statistics():

@@ -292,9 +292,13 @@ def test_restart_budget_validation():
     code = toy_code()
     lam = np.ones(code.n)
     for bad in (-1, 2.5, 3.0, "3", None, True):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="restarts"):
             decode(code, lam, restarts=bad)
+        with pytest.raises(ValueError, match="max_iter"):
+            decode(code, lam, max_iter=bad)
     assert decode(code, lam, restarts=np.int64(2)).converged
+    assert decode(code, lam, max_iter=np.int64(5)).converged
+    assert decode(code, lam, max_iter=0).iterations == 0
 
 
 def test_scaling_invariance_of_ml_objective():
@@ -359,6 +363,36 @@ def test_alist_roundtrip(tmp_path):
     p3.write_text("4 2\n1 1\n")
     with pytest.raises(ValueError):
         read_alist(p3)
+    p3.write_text("4 99999999999999999999\n1 1\n")
+    with pytest.raises(ValueError, match="64-bit integer"):
+        read_alist(p3)
+
+
+def test_alist_rejects_inconsistent_adjacency(tmp_path):
+    code = generate_code(96, "1/2")
+    p = tmp_path / "code.alist"
+    write_alist(code, p)
+    lines = p.read_text().split("\n")
+    first_row_line = 4 + code.n
+
+    # row 0 lists its first column twice
+    bad = list(lines)
+    toks = bad[first_row_line].split()
+    toks[1] = toks[0]
+    bad[first_row_line] = " ".join(toks)
+    p.write_text("\n".join(bad))
+    with pytest.raises(ValueError, match="same column twice"):
+        read_alist(p)
+
+    # column 1 moves one edge to a row that does not list it
+    bad = list(lines)
+    toks = bad[5].split()
+    listed = {int(t) for t in toks}
+    toks[0] = str(min(set(range(1, code.n_rows + 1)) - listed))
+    bad[5] = " ".join(toks)
+    p.write_text("\n".join(bad))
+    with pytest.raises(ValueError, match="column lines"):
+        read_alist(p)
 
 
 def test_post_fec_ber_threshold():

@@ -272,7 +272,7 @@ def test_mismatch_corrected_asi_invariant_qpsk():
 
 def test_asi_floor_closed_form():
     con, pmf = square_qam(6, amplitude_pmf=PAS_II)
-    tm = pmf.tributary_marginals()
+    tm = pmf.tributary_marginals
     with np.errstate(divide="ignore", invalid="ignore"):
         hb = -(tm[:, 0] * np.log2(tm[:, 0]) + tm[:, 1] * np.log2(tm[:, 1]))
     # prior-only ASI is one minus the mean tributary entropy

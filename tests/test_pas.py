@@ -117,10 +117,6 @@ def test_random_mapping_reproducible_per_stream():
 
 def test_stream_validation():
     con, pmf, comp, code = shaped_setup()
-    from psbicm.constellation import star8qam
-    s_con, s_pmf = star8qam()
-    with pytest.raises(ValueError):
-        PasStream(code, s_con, s_pmf)
     with pytest.raises(ValueError):                   # alphabet size mismatch
         PasStream(code, *square_qam(6), composition=comp)
     qcon, qpmf = square_qam(2)
