@@ -27,7 +27,7 @@ from .shaping import (
     amplitudes_to_bits,
     bits_to_amplitudes,
 )
-from .channel import ChannelConfig, awgn, empirical_snr
+from .channel import ChannelConfig, awgn
 from .demapper import (
     DemapperConfig,
     Quantizer,
@@ -68,7 +68,6 @@ from .fec import (
     write_alist,
     encode,
     decode,
-    syndrome,
     post_fec_ber,
 )
 from .pas import (

@@ -60,14 +60,3 @@ def awgn(symbols, config):
     g = config.rng().standard_normal(2 * x.size)
     noise = config.noise_sigma * (g[: x.size] + 1j * g[x.size :])
     return x + noise.reshape(x.shape)
-
-
-def empirical_snr(sent, received):
-    """Measured symbol-energy-to-noise ratio (linear); inf when identical."""
-    x = np.asarray(sent)
-    y = np.asarray(received)
-    p_sig = float(np.mean(np.abs(x) ** 2))
-    p_noise = float(np.mean(np.abs(y - x) ** 2))
-    if p_noise == 0.0:
-        return float("inf")
-    return p_sig / p_noise

@@ -10,7 +10,10 @@ bools are JSON true/false and CSV 0/1, ints stay ints, everything else
 is a float written with ``repr``.  ``sweep`` and ``ingest`` documents
 carry the schema ``psbicm-metrics-v3`` (one ``MetricReport`` per row,
 plus ``snr_db`` for sweeps); ``fecscan`` documents carry
-``psbicm-fecscan-v2`` (one ``CodedPointResult`` per row).
+``psbicm-fecscan-v2`` (one ``CodedPointResult`` per row).  An ``ingest``
+document also holds a ``consistency`` list: the slope, intercept and
+coverage of the L-value consistency fit per tributary
+(``demapper.consistency_check``; slope s_o/s = 1 for a matched demapper).
 
 Determinism: labels, noise and payloads for grid point ``i`` come from
 counter-based substreams keyed ``(seed, i)``, so a sweep produces
@@ -31,7 +34,8 @@ import numpy as np
 
 from .channel import ChannelConfig, awgn
 from .constellation import draw_labels, square_qam
-from .demapper import DemapperConfig, Quantizer, demap_to_trace, read_trace, write_trace
+from .demapper import (DemapperConfig, Quantizer, consistency_check, demap_to_trace,
+                       read_trace, write_trace)
 from .fec import generate_code, read_alist, reference_code, write_alist
 from .metrics import MetricReport, compute_report
 from .pas import CodedPointResult, PasStream, run_coded_point
@@ -230,11 +234,14 @@ def cmd_ingest(args):
                             r_c=args.code_rate, r_loss=args.r_loss)
     _write_csv(args.out, _csv_header(MetricReport), [_csv_row(report)])
     if args.json_out:
-        _write_json(args.json_out, {"schema": METRICS_SCHEMA,
-                                    "config": {"trace": args.trace,
-                                               "code_rate": args.code_rate,
-                                               "r_loss": args.r_loss},
-                                    "rows": [_json_row(report)]})
+        _write_json(args.json_out, {
+            "schema": METRICS_SCHEMA,
+            "config": {"trace": args.trace, "code_rate": args.code_rate,
+                       "r_loss": args.r_loss},
+            "rows": [_json_row(report)],
+            "consistency": [{"tributary": c.tributary, "slope": c.slope,
+                             "intercept": c.intercept, "coverage": c.coverage}
+                            for c in consistency_check(trace)]})
     return 0
 
 

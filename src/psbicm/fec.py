@@ -154,11 +154,7 @@ class LdpcCode:
 
     ``row_cols`` lists the variable columns of each check row
     back-to-back; ``row_ptr`` holds the n_rows+1 segment boundaries.
-    ``k`` is the systematic prefix length n - n_rows; ``effective_k``
-    accounts for any rank deficiency (equal to k for the shipped
-    staircase codes, which are full rank by construction).  ``encoder``
-    is "staircase" when the parity columns form the dual-diagonal
-    accumulator, enabling ``encode``.
+    ``k`` is the systematic prefix length n - n_rows.
     """
 
     name: str
@@ -166,8 +162,6 @@ class LdpcCode:
     k: int
     row_ptr: np.ndarray
     row_cols: np.ndarray
-    encoder: str | None
-    effective_k: int
 
     @property
     def n_rows(self):
@@ -189,6 +183,23 @@ class LdpcCode:
     def col_degrees(self):
         return np.bincount(self.row_cols, minlength=self.n)
 
+    @cached_property
+    def encoder(self):
+        """"staircase" when the parity columns form the dual-diagonal
+        accumulator (enabling ``encode``), else None.
+
+        Parity column k+j must sit in rows j and j+1 only (the last one in
+        row n_rows-1 only).  Columns are sorted within rows, so the parity
+        edges, in row order, must be (0, k), (1, k), (1, k+1), (2, k+1), ...
+        Such a parity part is full rank: the code has exactly 2**k codewords.
+        """
+        parity = self.row_cols >= self.k
+        t = np.arange(2 * self.n_rows - 1)
+        if (np.array_equal(self.edge_row[parity], (t + 1) // 2)
+                and np.array_equal(self.row_cols[parity] - self.k, t // 2)):
+            return "staircase"
+        return None
+
     def to_dense(self):
         h = np.zeros((self.n_rows, self.n), dtype=np.uint8)
         h[self.edge_row, self.row_cols] = 1
@@ -197,55 +208,15 @@ class LdpcCode:
     @classmethod
     def from_row_lists(cls, rows, n, name="custom"):
         """Build from an iterable of per-row column-index lists."""
-        rows = [np.asarray(sorted(r), dtype=np.int64) for r in rows]
-        if any(r.size == 0 for r in rows):
+        rows = [np.sort(np.asarray(r, dtype=np.int64)) for r in rows]
+        sizes = [r.size for r in rows]
+        if 0 in sizes:
             raise ValueError("every check row needs at least one column")
-        if any(r.min() < 0 or r.max() >= n for r in rows):
-            raise ValueError("column index out of range")
-        row_ptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+        row_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         row_cols = np.concatenate(rows)
-        k = n - len(rows)
-        code = cls(
-            name=name, n=n, k=k,
-            row_ptr=row_ptr.astype(np.int64), row_cols=row_cols,
-            encoder="staircase" if _is_staircase(rows, n, k) else None,
-            effective_k=n - _gf2_rank(rows, n),
-        )
-        return code
-
-
-def _is_staircase(rows, n, k):
-    # parity column k+j must appear in rows {j, j+1} (last column: row
-    # n_rows-1 only) -- the structure the O(n) accumulator encoder needs
-    n_rows = len(rows)
-    col_rows = [[] for _ in range(n - k)]
-    for r, cols in enumerate(rows):
-        for c in cols:
-            if c >= k:
-                col_rows[c - k].append(r)
-    for j in range(n_rows - 1):
-        if col_rows[j] != [j, j + 1]:
-            return False
-    return col_rows[n_rows - 1] == [n_rows - 1]
-
-
-def _gf2_rank(rows, n):
-    # row echelon over GF(2) with python bigints as bit rows
-    pivots = {}
-    rank = 0
-    for cols in rows:
-        v = 0
-        for c in cols:
-            v ^= 1 << int(c)
-        while v:
-            p = v.bit_length() - 1
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                rank += 1
-                break
-    return rank
+        if row_cols.min() < 0 or row_cols.max() >= n:
+            raise ValueError("column index out of range")
+        return cls(name=name, n=n, k=n - len(rows), row_ptr=row_ptr, row_cols=row_cols)
 
 
 # --- quasi-cyclic IRA construction ---------------------------------------
@@ -639,12 +610,6 @@ def encode(code, info_bits):
     np.add.at(s, code.edge_row[info_edges], info[code.row_cols[info_edges]])
     parity = np.bitwise_xor.accumulate(np.asarray(s & 1, dtype=np.uint8))
     return np.concatenate([info, parity])
-
-
-def syndrome(code, bits):
-    """Per-check parity of a bit vector; all zero iff it is a codeword."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return np.bitwise_xor.reduceat(bits[code.row_cols], code.row_ptr[:-1])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ evaluated on (rescaled) asymmetric L-values ``l_a = (-1)^bit * L``:
 All of these route through one reduction helper, so the algebraic
 identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
 fixed-scaling GMI = Delta_H) hold exactly on a common trace, not just
-statistically.
+statistically.  Each estimator takes the trace's asymmetric L-values as
+``la`` when the caller already has them (``trace.asymmetric()``, never
+modified), so a full report builds them once.
 
 The scaling optima (the s of the GMI, the s_d of the uncertainty) come
 from one safeguarded Newton search on [1e-3, 1e2] with the closed-form
@@ -57,9 +59,12 @@ def _mean_cost_by_tributary(x_asym, tributaries, bar_m):
     return sums / counts
 
 
-def _uncertainty(trace, s_d):
-    cond = _mean_cost_by_tributary(s_d * trace.asymmetric(),
-                                   trace.tributaries, trace.bar_m)
+def _asym(trace, la):
+    return trace.asymmetric() if la is None else la
+
+
+def _uncertainty(trace, cond):
+    # m times the mean cost per label position, from the tributary means
     return (trace.m / trace.bar_m) * float(cond.sum())
 
 
@@ -115,13 +120,13 @@ def _minimize_scaling(base, direction, tributaries, bar_m, s0):
     return s, cost, s - SEARCH_LO < 2 * SEARCH_XTOL or SEARCH_HI - s < 2 * SEARCH_XTOL
 
 
-def pre_fec_ber(trace):
+def pre_fec_ber(trace, *, la=None):
     """Hard-decision bit error rate of sign(L); L = 0 counts half."""
-    la = trace.asymmetric()
+    la = _asym(trace, la)
     return float(np.mean((la < 0) + 0.5 * (la == 0)))
 
 
-def asi_mc(trace, s_ratio=None):
+def asi_mc(trace, s_ratio=None, *, la=None):
     """Monte-Carlo asymmetric information 1 - E[f(s_ratio * l_a)].
 
     ``s_ratio`` defaults to the trace's s_o/s, which on SNR-mismatched
@@ -134,16 +139,17 @@ def asi_mc(trace, s_ratio=None):
         s_ratio = trace.s_ratio
     if not s_ratio > 0:
         raise ValueError("s_ratio must be positive")
-    return 1.0 - _uncertainty(trace, s_ratio) / trace.m
+    cond = tributary_conditional_entropies(trace, s_ratio, la=la)
+    return 1.0 - _uncertainty(trace, cond) / trace.m
 
 
-def tributary_conditional_entropies(trace, s_ratio=1.0):
+def tributary_conditional_entropies(trace, s_ratio=1.0, *, la=None):
     """Per-tributary estimates of H(B_i | Y), in bits.
 
     Mean soft bit cost of the (optionally rescaled) asymmetric L-values,
     grouped by tributary; shape (bar_m,).
     """
-    return _mean_cost_by_tributary(s_ratio * trace.asymmetric(),
+    return _mean_cost_by_tributary(s_ratio * _asym(trace, la),
                                    trace.tributaries, trace.bar_m)
 
 
@@ -182,7 +188,7 @@ class GmiResult:
     at_boundary: bool
 
 
-def gmi_from_trace(trace, s="optimize"):
+def gmi_from_trace(trace, s="optimize", *, la=None):
     """Generalized mutual information of the trace's auxiliary channel.
 
     The stored L-values are L^pr + s0*L^ex with s0 = trace.scale; the
@@ -198,7 +204,7 @@ def gmi_from_trace(trace, s="optimize"):
         if s < 0:
             raise ValueError("s must be >= 0")
         if s == trace.scale:
-            cond = _mean_cost_by_tributary(trace.asymmetric(),
+            cond = _mean_cost_by_tributary(_asym(trace, la),
                                            trace.tributaries, trace.bar_m)
             g0 = trace.h_b - (trace.m / cond.size) * float(cond.sum())
             return GmiResult(gmi_bits=g0, scale=s, at_boundary=False)
@@ -207,8 +213,7 @@ def gmi_from_trace(trace, s="optimize"):
     # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex, built in place
     prior_a = trace.priors[trace.tributaries - 1]
     np.negative(prior_a, out=prior_a, where=trace.bits != 0)
-    extr_a = trace.asymmetric()
-    extr_a -= prior_a
+    extr_a = _asym(trace, la) - prior_a
     extr_a /= trace.scale
     boundary = False
     if s == "optimize":
@@ -234,7 +239,7 @@ class RfecResult:
     at_boundary: bool
 
 
-def r_fec_star(trace, s_d="optimize"):
+def r_fec_star(trace, s_d="optimize", *, la=None):
     """Achievable FEC code rate from the decoder's input L-values.
 
     U(s_d) is the mean soft bit cost of the s_d-scaled asymmetric
@@ -245,13 +250,14 @@ def r_fec_star(trace, s_d="optimize"):
     """
     if s_d == "optimize":
         sd, cost, boundary = _minimize_scaling(
-            None, trace.asymmetric(), trace.tributaries, trace.bar_m, trace.s_ratio)
+            None, _asym(trace, la), trace.tributaries, trace.bar_m, trace.s_ratio)
         u_star = (trace.m / trace.bar_m) * cost
     else:
         if not s_d > 0:
             raise ValueError("s_d must be positive")
         sd = float(s_d)
-        u_star, boundary = _uncertainty(trace, sd), False
+        cond = tributary_conditional_entropies(trace, sd, la=la)
+        u_star, boundary = _uncertainty(trace, cond), False
     return RfecResult(
         uncertainty=u_star,
         r_fec_star=max(1.0 - u_star / trace.m, 0.0),
@@ -287,7 +293,7 @@ class QuantizedAsi:
     pmf: np.ndarray
 
 
-def asi_hist(trace, s_ratio=None):
+def asi_hist(trace, s_ratio=None, *, la=None):
     """ASI from the empirical pmf of quantized asymmetric L-values.
 
     Requires a quantized trace.  The entropy form 1 + H(|L_a|) - H(L_a)
@@ -304,7 +310,7 @@ def asi_hist(trace, s_ratio=None):
         raise ValueError("asi_hist needs a quantized trace")
     if s_ratio is None:
         s_ratio = trace.s_ratio
-    la = trace.asymmetric()
+    la = _asym(trace, la)
     p = np.bincount(q.indices(la), minlength=q.n_levels) / la.size
     half = q.n_levels // 2
 
@@ -383,16 +389,20 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
 
     ``quantizer`` adds the histogram ASI (applied to a copy if the trace
     is not already on that lattice); ``r_c`` enables the rate accounting.
+    The asymmetric L-values are built once and passed to every estimator.
     """
-    g = gmi_from_trace(trace, s="optimize")
-    cond = tributary_conditional_entropies(trace, s_ratio=1.0)
+    la = trace.asymmetric()
+    g = gmi_from_trace(trace, s="optimize", la=la)
+    cond = tributary_conditional_entropies(trace, s_ratio=1.0, la=la)
     bmd = bmd_rate(cond, trace.h_b, trace.m, r_loss=r_loss)
-    rf = r_fec_star(trace, s_d="optimize")
-    if quantizer is not None:
-        qt = trace if trace.quantizer == quantizer else quantize_trace(trace, quantizer)
-        asi_q = asi_hist(qt).asi
-    elif trace.quantizer is not None:
-        asi_q = asi_hist(trace).asi
+    rf = r_fec_star(trace, s_d="optimize", la=la)
+    # at s_o/s = 1 asi_mc would repeat the cost pass of cond
+    asi = (1.0 - _uncertainty(trace, cond) / trace.m if trace.s_ratio == 1.0
+           else asi_mc(trace, la=la))
+    if quantizer is not None and trace.quantizer != quantizer:
+        asi_q = asi_hist(quantize_trace(trace, quantizer)).asi
+    elif quantizer is not None or trace.quantizer is not None:
+        asi_q = asi_hist(trace, la=la).asi
     else:
         asi_q = float("nan")
     if r_c is not None:
@@ -401,7 +411,7 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
     else:
         info_rate, bound = float("nan"), float("nan")
     return MetricReport(
-        pre_fec_ber=pre_fec_ber(trace),
+        pre_fec_ber=pre_fec_ber(trace, la=la),
         gmi_bits=g.gmi_bits,
         gmi_scale=g.scale,
         ngmi=ngmi(g.gmi_bits, trace.h_b, trace.m),
@@ -409,7 +419,7 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
         bmd_rate=bmd.r_bmd,
         bmd_rate_net=bmd.r_bmd_net,
         normalized_air=bmd.normalized_air,
-        asi=asi_mc(trace),
+        asi=asi,
         asi_quantized=asi_q,
         uncertainty=rf.uncertainty,
         r_fec_star=rf.r_fec_star,

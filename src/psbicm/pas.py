@@ -228,19 +228,20 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
                        all_lam.reshape(-1, constellation.m), pmf,
                        scale=scale, scale_opt=s_o)
     post = post_fec_ber(decoded_info.reshape(-1), sent_info.reshape(-1))
-    g = gmi_from_trace(trace)
+    la = trace.asymmetric()
+    g = gmi_from_trace(trace, la=la)
     result = CodedPointResult(
         snr_db=float(snr_db),
         frames=n_frames,
-        pre_fec_ber=pre_fec_ber(trace),
+        pre_fec_ber=pre_fec_ber(trace, la=la),
         post_fec_ber=post.ber,
         hd_fec_pass=post.hd_fec_pass,
         frame_error_rate=frame_errors / n_frames,
         converged_fraction=converged / n_frames,
         bp_failures=bp_failures,
         restarts_used=restarts_used,
-        asi=asi_mc(trace),
+        asi=asi_mc(trace, la=la),
         ngmi=ngmi(g.gmi_bits, trace.h_b, trace.m),
-        r_fec_star=r_fec_star(trace).r_fec_star,
+        r_fec_star=r_fec_star(trace, la=la).r_fec_star,
     )
     return result, trace

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psbicm.channel import ChannelConfig, awgn, empirical_snr
+from psbicm.channel import ChannelConfig, awgn
 
 
 def test_noise_variance():
@@ -45,7 +45,6 @@ def test_noiseless():
     y = awgn(x, cfg)
     assert np.array_equal(y, x)
     assert y is not x
-    assert empirical_snr(x, y) == np.inf
 
 
 def test_empirical_snr_close_to_configured():
@@ -54,7 +53,7 @@ def test_empirical_snr_close_to_configured():
     for snr_db in (0.0, 9.0):
         cfg = ChannelConfig(snr_db=snr_db, seed=2, block_id=1)
         y = awgn(x, cfg)
-        est = empirical_snr(x, y)
+        est = np.mean(np.abs(x) ** 2) / np.mean(np.abs(y - x) ** 2)
         assert est == pytest.approx(cfg.snr_linear, rel=8e-3)
 
 

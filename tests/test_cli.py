@@ -138,6 +138,32 @@ def test_ingest_matches_sweep_row(tmp_path):
     assert sweep_lines[1].split(",", 1)[1] == ing_lines[1]
 
 
+def test_ingest_consistency_slopes(tmp_path):
+    # QPSK traces, matched and with the receiver assuming 3 dB less SNR:
+    # the log-ratio slope is s_o/s, about 1 and about 2.  The fit needs
+    # 1000 samples of each bit value in a bin, hence the long low-SNR trace.
+    slopes = []
+    for offset in ("0", "-3"):
+        tdir = tmp_path / f"traces{offset}"
+        out = tmp_path / f"sweep{offset}.csv"
+        assert main(["sweep", "--format", "qpsk", "--snr-db", "2", "--seed", "4",
+                     "--symbols-per-block", "200000", "--assumed-snr-offset-db", offset,
+                     "--trace-dir", str(tdir), "--out", str(out)]) == 0
+        trace = str(tdir / "point_000.lvt")
+        plain, ing, jout = (tmp_path / f"{name}{offset}" for name in ("plain", "ing", "doc"))
+        assert main(["ingest", "--trace", trace, "--out", str(plain)]) == 0
+        assert main(["ingest", "--trace", trace, "--out", str(ing),
+                     "--json-out", str(jout)]) == 0
+        assert ing.read_text() == plain.read_text()          # CSV unchanged
+        doc = json.loads(jout.read_text())
+        assert doc["schema"] == METRICS_SCHEMA and len(doc["rows"]) == 1
+        (fit,) = doc["consistency"]                          # one tributary
+        assert fit["tributary"] == 1 and 0.0 < fit["coverage"] <= 1.0
+        slopes.append(fit["slope"])
+    assert slopes[0] == pytest.approx(1.0, rel=0.05)
+    assert slopes[1] == pytest.approx(10 ** 0.3, rel=0.05)
+
+
 def test_ingest_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.lvt"
     bad.write_bytes(b"not a trace file at all")

@@ -10,6 +10,8 @@ from psbicm.demapper import (
     DemapperConfig,
     LValueTrace,
     Quantizer,
+    _CHUNK,
+    _numpy_order_sum,
     bitwise_lvalues,
     consistency_check,
     default_quantizer,
@@ -20,6 +22,7 @@ from psbicm.demapper import (
     read_trace,
     write_trace,
 )
+from psbicm.shaping import amplitude_preset, quantize_pmf
 
 PAS_I = [0.698, 0.263, 0.037, 0.002]
 
@@ -338,3 +341,87 @@ def test_extrinsic_plus_prior_composition():
     pri = pmf.log_priors[np.arange(6) % 3]
     lam = bitwise_lvalues(y, con, pmf, DemapperConfig(assumed_snr_db=9.0))
     assert np.allclose(lam, pri + lex, atol=1e-12)
+
+
+# --- bit identity of the gathered log-sum-exp -----------------------------
+
+def masked_lse_extrinsic(y, con, pmf, snr_hat):
+    """Per-subset masked log-sum-exp demapper, one bit and half at a time.
+
+    The demapper's gathered form must reproduce these values bit for bit.
+    """
+    def lse(w, mask):
+        wm = w[:, mask]
+        mx = wm.max(axis=1)
+        finite = np.isfinite(mx)
+        out = np.full(mx.shape, -np.inf)
+        with np.errstate(under="ignore"):
+            out[finite] = mx[finite] + np.log(
+                np.exp(wm[finite] - mx[finite][:, None]).sum(axis=1))
+        return out
+
+    y = np.asarray(y, dtype=complex).ravel()
+    bar_m = con.bar_m
+    labels = np.arange(con.pam_points.size)
+    pri = np.tile(pmf.log_priors, 2)
+    out = np.empty((y.size, con.m))
+    for d, yd in enumerate((y.real, y.imag)):
+        w = pmf.log_p_dim - snr_hat * (yd[:, None] - con.pam_points) ** 2
+        for i in range(bar_m):
+            mask = ((labels >> (bar_m - 1 - i)) & 1) == 0
+            pos = d * bar_m + i
+            out[:, pos] = lse(w, mask) - lse(w, ~mask) - pri[pos]
+    return out
+
+
+def _bit_identity_formats():
+    out = [square_qam(m) for m in (4, 6, 8)]
+    for preset in ("i", "ii", "iii"):
+        comp = quantize_pmf(amplitude_preset(preset), 1024)
+        out.append(square_qam(6, amplitude_pmf=comp.pmf))
+    return out
+
+
+# the last size is two or more full chunks and 77 symbols for every format
+@pytest.mark.parametrize("n", [1, 168, (_CHUNK >> 1) + 77])
+def test_gathered_demap_bit_identical_to_masked_lse(n):
+    rng = np.random.default_rng(n)
+    for con, pmf in _bit_identity_formats():
+        snr_db = {2: 8.0, 3: 12.0, 4: 18.0}[con.bar_m]
+        labels = draw_labels(pmf, n, rng)
+        y = awgn(con.points[labels], ChannelConfig(snr_db, seed=n, block_id=con.m))
+        for offset_db in (0.0, -3.0):
+            cfg = DemapperConfig(assumed_snr_db=snr_db + offset_db, scale=0.8)
+            ref = masked_lse_extrinsic(y, con, pmf, cfg.assumed_snr_linear)
+            assert np.array_equal(
+                extrinsic_lvalues(y, con, pmf, cfg.assumed_snr_linear), ref)
+            lam = np.tile(pmf.log_priors, 2) + cfg.scale * ref
+            assert np.array_equal(bitwise_lvalues(y, con, pmf, cfg), lam)
+            q = Quantizer(16, 6.75)
+            qcfg = DemapperConfig(assumed_snr_db=cfg.assumed_snr_db, scale=0.8, quantizer=q)
+            assert np.array_equal(bitwise_lvalues(y, con, pmf, qcfg), q.apply(lam))
+
+
+def test_gathered_demap_zero_probability_labels():
+    # amplitudes 3 and 7 never sent: -inf terms inside subsets.  Amplitudes
+    # 5 and 7 never sent: bit 2 is always 1, so its bit-0 subset is all
+    # -inf and that position's L-value is NaN (an infinite extrinsic minus
+    # an infinite prior) in both forms
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    for amp, dead in (([0.6, 0.0, 0.4, 0.0], False), ([0.5, 0.5, 0.0, 0.0], True)):
+        con, pmf = square_qam(6, amplitude_pmf=amp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = masked_lse_extrinsic(y, con, pmf, 10.0)
+            got = extrinsic_lvalues(y, con, pmf, 10.0)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.isnan(got).any() == dead
+        assert np.isfinite(got[:, [0, 2, 3, 5]]).all()
+
+
+def test_numpy_order_sum_matches_numpy_row_sum():
+    rng = np.random.default_rng(3)
+    for k in range(1, 300):
+        rows = np.exp(10.0 * rng.normal(size=(4, k)))
+        got = _numpy_order_sum(np.ascontiguousarray(rows.T))
+        assert np.array_equal(got, rows.sum(axis=1)), k

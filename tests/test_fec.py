@@ -18,7 +18,6 @@ from psbicm.fec import (
     post_fec_ber,
     read_alist,
     reference_code,
-    syndrome,
     write_alist,
 )
 from psbicm.pas import PasStream, frame_lvalues
@@ -58,6 +57,26 @@ def reference_bp(rows, lam, max_iter=50):
                 prod = min(max(prod, -1 + 1e-12), 1 - 1e-12)
                 m_cv[(r, c)] = 2.0 * np.arctanh(prod)
         tot = totals()
+
+
+def parity_checks(code, bits):
+    """Per-check parity of a bit vector; all zero iff it is a codeword."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.bitwise_xor.reduceat(bits[code.row_cols], code.row_ptr[:-1])
+
+
+def gf2_rank(code):
+    """Rank of the parity-check matrix over GF(2), python ints as bit rows."""
+    pivots = {}
+    for r in range(code.n_rows):
+        v = 0
+        for c in code.row_cols[code.row_ptr[r]:code.row_ptr[r + 1]]:
+            v ^= 1 << int(c)
+        while v and v.bit_length() - 1 in pivots:
+            v ^= pivots[v.bit_length() - 1]
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return len(pivots)
 
 
 def toy_code():
@@ -137,7 +156,7 @@ def test_generated_code_structure_all_rates():
         code = generate_code(n, rate, seed=2)
         num, den = map(int, rate.split("/"))
         assert code.n == n and code.k * den == n * num
-        assert code.effective_k == code.k          # staircase: full rank
+        assert gf2_rank(code) == code.n_rows       # staircase: full rank
         assert code.encoder == "staircase"
         assert code.col_degrees[:code.k].min() >= 3
         h = code.to_dense().astype(np.int64)
@@ -145,7 +164,20 @@ def test_generated_code_structure_all_rates():
         np.fill_diagonal(overlap, 0)
         assert overlap.max() <= 1                  # no 4-cycles
         info = np.random.default_rng(4).integers(0, 2, code.k).astype(np.uint8)
-        assert not syndrome(code, encode(code, info)).any()
+        assert not parity_checks(code, encode(code, info)).any()
+
+
+def test_non_staircase_parity_has_no_encoder():
+    # toy_code's parity part with one edge moved, added or duplicated
+    for rows in ([[0, 1, 5], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]],
+                 [[0, 1, 4], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 4, 6, 7]],
+                 [[0, 1, 4, 7], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]],
+                 [[0, 1, 4], [1, 2, 4, 5, 5], [2, 3, 5, 6], [3, 0, 6, 7]]):
+        code = LdpcCode.from_row_lists(rows, 8)
+        assert code.encoder is None
+        with pytest.raises(ValueError, match="no systematic encoder"):
+            encode(code, np.zeros(4, dtype=np.uint8))
+    assert toy_code().encoder == "staircase"
 
 
 def test_generate_code_rejects_bad_geometry():
@@ -165,7 +197,7 @@ def test_encode_linearity_and_systematic():
     b = rng.integers(0, 2, code.k).astype(np.uint8)
     ca, cb = encode(code, a), encode(code, b)
     assert np.array_equal(ca[:code.k], a)
-    assert not syndrome(code, ca ^ cb).any()
+    assert not parity_checks(code, ca ^ cb).any()
     with pytest.raises(ValueError):
         encode(code, a[:-1])
 
@@ -260,7 +292,7 @@ def test_restarts_converge_only_to_codewords():
         assert 1 <= res.restarts <= 50
         assert res.iterations > first.iterations
         if res.converged:
-            assert not syndrome(code, res.codeword).any()
+            assert not parity_checks(code, res.codeword).any()
         else:
             assert res.restarts == 50
             assert np.array_equal(res.codeword, first.codeword)
@@ -319,7 +351,7 @@ def test_scaling_invariance_of_ml_objective():
 def test_reference_code_properties():
     code = reference_code()
     assert code.n == 1008 and code.k == 504
-    assert code.encoder == "staircase" and code.effective_k == 504
+    assert code.encoder == "staircase" and gf2_rank(code) == 504
     # light columns first, then the heavy tail of the degree profile
     assert code.col_degrees[:code.k].tolist() == [3] * 330 + [10] * 174
     # no two columns share more than one check row (no length-4 cycles)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -361,3 +363,37 @@ def test_report_fields_and_serialization():
     assert as_json["decoder_scale_at_boundary"] is False
     assert row.endswith(",0,0")
 
+
+
+@pytest.mark.parametrize("offset_db, trace_q, report_q", [
+    (0.0, None, None),                              # matched, s_o/s = 1
+    (-10 * np.log10(2), None, None),                # mismatched, s_o/s = 2
+    (0.0, Quantizer(16, 6.75), Quantizer(16, 6.75)),  # quantized trace
+    (0.0, None, Quantizer(32, 3.0)),                # quantized copy
+])
+def test_report_equals_standalone_estimators(offset_db, trace_q, report_q):
+    # compute_report shares the asymmetric L-values and, when s_o/s = 1,
+    # one cost pass between the ASI and the conditional entropies; every
+    # field must still be the bits of the standalone estimators
+    tr = simulate_trace(6, 12.0, 20_000, seed=73, assumed_snr_db=12.0 + offset_db,
+                        quantizer=trace_q)
+    assert (tr.s_ratio == 1.0) == (offset_db == 0.0)
+    rep = compute_report(tr, quantizer=report_q, r_c=0.5, r_loss=0.01)
+    g = gmi_from_trace(tr)
+    bmd = bmd_rate(tributary_conditional_entropies(tr, s_ratio=1.0), tr.h_b, tr.m,
+                   r_loss=0.01)
+    rf = r_fec_star(tr)
+    acc = rate_accounting(tr.h_b, 0.01, 0.5, tr.m, bmd.r_bmd_net)
+    qt = tr if report_q is None or tr.quantizer == report_q else quantize_trace(tr, report_q)
+    expected = MetricReport(
+        pre_fec_ber=pre_fec_ber(tr), gmi_bits=g.gmi_bits, gmi_scale=g.scale,
+        ngmi=ngmi(g.gmi_bits, tr.h_b, tr.m), delta_h=bmd.delta_h, bmd_rate=bmd.r_bmd,
+        bmd_rate_net=bmd.r_bmd_net, normalized_air=bmd.normalized_air, asi=asi_mc(tr),
+        asi_quantized=asi_hist(qt).asi if qt.quantizer is not None else float("nan"),
+        uncertainty=rf.uncertainty, r_fec_star=rf.r_fec_star, decoder_scale=rf.scale,
+        info_rate=acc.info_rate, code_rate_bound=acc.code_rate_bound,
+        gmi_at_boundary=g.at_boundary, decoder_scale_at_boundary=rf.at_boundary,
+    )
+    for f in fields(MetricReport):
+        assert np.array_equal(getattr(rep, f.name), getattr(expected, f.name),
+                              equal_nan=True), f.name
