@@ -73,11 +73,10 @@ from .fec import (
 from .pas import (
     PasStream,
     PasFrame,
+    PasFrames,
     CodedPointResult,
     run_coded_point,
     frame_lvalues,
-    frame_amplitudes,
-    recover_matcher_payloads,
 )
 
 __version__ = "0.1.0"

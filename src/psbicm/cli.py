@@ -10,7 +10,8 @@ bools are JSON true/false and CSV 0/1, ints stay ints, everything else
 is a float written with ``repr``.  ``sweep`` and ``ingest`` documents
 carry the schema ``psbicm-metrics-v3`` (one ``MetricReport`` per row,
 plus ``snr_db`` for sweeps); ``fecscan`` documents carry
-``psbicm-fecscan-v2`` (one ``CodedPointResult`` per row).  An ``ingest``
+``psbicm-fecscan-v3`` (one ``CodedPointResult`` per row, raw bit and
+frame error counts next to the rates).  An ``ingest``
 document also holds a ``consistency`` list: the slope, intercept and
 coverage of the L-value consistency fit per tributary
 (``demapper.consistency_check``; slope s_o/s = 1 for a matched demapper).
@@ -44,7 +45,7 @@ from .shaping import amplitude_preset, quantize_pmf, rate_loss
 _FORMATS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
 
 METRICS_SCHEMA = "psbicm-metrics-v3"
-FECSCAN_SCHEMA = "psbicm-fecscan-v2"
+FECSCAN_SCHEMA = "psbicm-fecscan-v3"
 
 
 def _parse_grid(text):

@@ -128,22 +128,39 @@ def build_mapping(kind, n, k, bar_m, seed=None, pas=True):
     return BitMapping(mapping=m, kind=kind, bar_m=bar_m, seed=seed)
 
 
-def apply_mapping(x, bit_mapping):
-    """Codeword order -> tributary slot order (PAM-symbol major)."""
-    x = np.asarray(x)
-    if x.shape[-1] != bit_mapping.n:
+def _slot_index(x, bit_mapping):
+    """Index of x that puts codeword positions in slot order.
+
+    ``bit_mapping`` is one BitMapping for every row of x, or a sequence
+    of them, one per row of a 2-D x.
+    """
+    if isinstance(bit_mapping, BitMapping):
+        index = (Ellipsis, bit_mapping.slot_permutation)
+    else:
+        perms = np.stack([m.slot_permutation for m in bit_mapping])
+        if x.ndim != 2 or x.shape[0] != perms.shape[0]:
+            raise ValueError("need a 2-D array with one row per mapping")
+        index = (np.arange(x.shape[0])[:, None], perms)
+    if x.shape[-1] != index[1].shape[-1]:
         raise ValueError("length must equal the mapping size")
+    return index
+
+
+def apply_mapping(x, bit_mapping):
+    """Codeword order -> tributary slot order (PAM-symbol major).
+
+    Maps the last axis of x, by one BitMapping or by one per row.
+    """
+    x = np.asarray(x)
     out = np.empty_like(x)
-    out[..., bit_mapping.slot_permutation] = x
+    out[_slot_index(x, bit_mapping)] = x
     return out
 
 
 def invert_mapping(x, bit_mapping):
     """Tributary slot order -> codeword order; inverse of apply_mapping."""
     x = np.asarray(x)
-    if x.shape[-1] != bit_mapping.n:
-        raise ValueError("length must equal the mapping size")
-    return x[..., bit_mapping.slot_permutation]
+    return x[_slot_index(x, bit_mapping)]
 
 
 # --- code representation -------------------------------------------------
@@ -571,8 +588,10 @@ def read_alist(path, name=None):
         raise ValueError("a row of the alist file lists the same column twice")
     if not np.array_equal(row_edges, np.sort((col_rows - 1) * n + col_of)):
         raise ValueError("alist column lines do not list the edges of the row lines")
-    rows = np.split(row_cols, np.cumsum(row_deg)[:-1])
-    return LdpcCode.from_row_lists(rows, n, name=name)
+    if np.any(row_deg == 0):
+        raise ValueError("every check row needs at least one column")
+    row_ptr = np.concatenate([[0], np.cumsum(row_deg)])
+    return LdpcCode(name=name, n=n, k=n - n_rows, row_ptr=row_ptr, row_cols=row_edges % n)
 
 
 def reference_code():
@@ -598,18 +617,25 @@ def encode(code, info_bits):
     """Systematic staircase encoding: codeword = [info, parity].
 
     Parity follows the accumulator recursion p_j = s_j xor p_{j-1} where
-    s_j is the parity of the information bits on check row j.
+    s_j is the parity of the information bits on check row j.  Encodes
+    every length-k row of ``info_bits`` (shape (..., k)).
     """
     if code.encoder != "staircase":
         raise ValueError(f"code {code.name!r} has no systematic encoder")
     info = np.asarray(info_bits, dtype=np.uint8)
-    if info.shape != (code.k,):
+    if info.shape[-1:] != (code.k,):
         raise ValueError(f"info length must be k = {code.k}")
-    s = np.zeros(code.n_rows, dtype=np.int64)
+    # the info edges, in row order, form one segment per row; a zero
+    # column appended keeps every segment start a valid index
     info_edges = code.row_cols < code.k
-    np.add.at(s, code.edge_row[info_edges], info[code.row_cols[info_edges]])
-    parity = np.bitwise_xor.accumulate(np.asarray(s & 1, dtype=np.uint8))
-    return np.concatenate([info, parity])
+    deg = np.bincount(code.edge_row[info_edges], minlength=code.n_rows)
+    starts = np.cumsum(deg) - deg
+    bits = np.concatenate([info[..., code.row_cols[info_edges]],
+                           np.zeros(info.shape[:-1] + (1,), dtype=np.uint8)], axis=-1)
+    s = np.bitwise_xor.reduceat(bits, starts, axis=-1)
+    s[..., deg == 0] = 0               # reduceat gives x[start] for an empty segment
+    parity = np.bitwise_xor.accumulate(s, axis=-1)
+    return np.concatenate([info, parity], axis=-1)
 
 
 @dataclass(frozen=True)

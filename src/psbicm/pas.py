@@ -16,6 +16,18 @@ bit layout [sign, amplitude bits] per dimension.
 Matcher buffering: each FEC frame pulls whole matcher codewords on
 demand (``k_ps`` payload bits each) until its amplitude need is
 covered; leftover amplitudes carry over to the next frame.
+
+``run_coded_point`` runs a point in four stages, each over every frame
+at once except where a stream or the decoder is per frame:
+
+1. transmit: ``PasStream.next_frames`` draws each frame's mapping seed,
+   matcher payloads and sign bits in frame order, then matches, encodes,
+   maps and labels all frames as stacked arrays;
+2. noise: each frame gets AWGN from its own channel substream;
+3. demap: one ``bitwise_lvalues`` call over all symbols, then one gather
+   by the stacked slot permutations into codeword order
+   (``frame_lvalues``);
+4. decode: ``decode`` per frame, then the metrics of the pooled trace.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from .channel import ChannelConfig, awgn
 from .demapper import DemapperConfig, bitwise_lvalues, make_trace
 from .fec import apply_mapping, build_mapping, decode, encode, invert_mapping, post_fec_ber
 from .metrics import asi_mc, gmi_from_trace, ngmi, pre_fec_ber, r_fec_star
-from .shaping import amplitudes_to_bits, bits_to_amplitudes, ccdm_decode, ccdm_encode
+from .shaping import amplitudes_to_bits, ccdm_encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +55,21 @@ class PasFrame:
     codeword: np.ndarray
     labels: np.ndarray
     mapping: object
+    amplitudes: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
+class PasFrames:
+    """Frames transmitted together: ``PasFrame`` fields stacked per frame.
+
+    ``codewords``, ``labels`` and ``amplitudes`` have one row per frame;
+    ``mappings`` holds one BitMapping per frame, the form
+    ``apply_mapping`` and ``invert_mapping`` take.
+    """
+
+    codewords: np.ndarray
+    labels: np.ndarray
+    mappings: tuple
     amplitudes: np.ndarray | None
 
 
@@ -93,70 +120,83 @@ class PasStream:
     def _bits(self, size):
         return self._rng.integers(0, 2, size=size, dtype=np.uint8)
 
-    def _take_amplitudes(self, count):
-        while self._amp_buffer.size < count:
-            payload = self._bits(self.composition.k_ps)
-            self.matcher_payloads.append(payload)
-            block = ccdm_encode(payload, self.composition)
-            self._amp_buffer = np.concatenate([self._amp_buffer, block])
-        out = self._amp_buffer[:count]
-        self._amp_buffer = self._amp_buffer[count:]
-        return out
+    def next_frames(self, count):
+        """Transmit the next ``count`` frames as one ``PasFrames``.
+
+        The generators are drawn frame by frame, in the order a frame at a
+        time would draw them (mapping seed; matcher payloads, then sign
+        bits), so a stream transmits the same frames whatever the batch
+        sizes.  Matching, encoding, mapping and labelling then run on all
+        frames at once.
+        """
+        code = self.code
+        mappings = []
+        payloads = []                  # matcher codewords pulled by this batch
+        info = np.empty((count, code.k), dtype=np.uint8)
+        available = self._amp_buffer.size
+        for f in range(count):
+            mapping = self._fixed_mapping
+            if mapping is None:
+                mapping = build_mapping("r", code.n, code.k, self.bar_m,
+                                        seed=int(self._map_rng.integers(1 << 31)),
+                                        pas=self._pas)
+            mappings.append(mapping)
+            if not self._pas:
+                info[f] = self._bits(code.k)
+                continue
+            while available < self.n_pam:
+                payloads.append(self._bits(self.composition.k_ps))
+                available += self.composition.n_pam
+            available -= self.n_pam
+            info[f, self.n_amp_positions:] = self._bits(self.n_sign_info)
+        mappings = tuple(mappings)
+
+        amps = None
+        if self._pas:
+            self.matcher_payloads.extend(payloads)
+            stream = np.concatenate([self._amp_buffer]
+                                    + [ccdm_encode(p, self.composition) for p in payloads])
+            used = count * self.n_pam
+            amps = stream[:used].reshape(count, self.n_pam)
+            self._amp_buffer = stream[used:]
+            slots = np.zeros((used, self.bar_m), dtype=np.uint8)
+            slots[:, 1:] = amplitudes_to_bits(amps.reshape(-1), self.bar_m)
+            info[:, :self.n_amp_positions] = invert_mapping(
+                slots.reshape(count, -1), mappings)[:, :self.n_amp_positions]
+        cw = encode(code, info)
+        slot_bits = apply_mapping(cw, mappings)
+        labels = self.constellation.bits_to_labels(slot_bits.reshape(-1, 2 * self.bar_m))
+        return PasFrames(codewords=cw, labels=labels.reshape(count, -1),
+                         mappings=mappings, amplitudes=amps)
 
     def next_frame(self):
-        code = self.code
-        mapping = self._fixed_mapping
-        if mapping is None:
-            mapping = build_mapping("r", code.n, code.k, self.bar_m,
-                                    seed=int(self._map_rng.integers(1 << 31)),
-                                    pas=self._pas)
-        if self.composition is None:
-            info = self._bits(code.k)
-            amps = None
-        else:
-            amps = self._take_amplitudes(self.n_pam)
-            slots = np.zeros((self.n_pam, self.bar_m), dtype=np.uint8)
-            slots[:, 1:] = amplitudes_to_bits(amps, self.bar_m)
-            info = np.empty(code.k, dtype=np.uint8)
-            perm = mapping.slot_permutation
-            info[:self.n_amp_positions] = slots.reshape(-1)[perm[:self.n_amp_positions]]
-            info[self.n_amp_positions:] = self._bits(self.n_sign_info)
-        cw = encode(code, info)
-        slot_bits = apply_mapping(cw, mapping)
-        bits_2d = slot_bits.reshape(-1, 2 * self.bar_m)
-        labels = self.constellation.bits_to_labels(bits_2d)
-        return PasFrame(codeword=cw, labels=labels, mapping=mapping, amplitudes=amps)
+        """Transmit one frame: ``next_frames(1)`` without the frame axis."""
+        frames = self.next_frames(1)
+        amps = None if frames.amplitudes is None else frames.amplitudes[0]
+        return PasFrame(codeword=frames.codewords[0], labels=frames.labels[0],
+                        mapping=frames.mappings[0], amplitudes=amps)
 
 
-def frame_lvalues(y, mapping, constellation, pmf, config):
-    """Codeword-ordered L-values of one received frame."""
-    lam = bitwise_lvalues(y, constellation, pmf, config)
-    return invert_mapping(lam.reshape(-1), mapping)
+def frame_lvalues(y, mappings, constellation, pmf, config):
+    """Demap received frames in one call and put their L-values in codeword order.
 
-
-def frame_amplitudes(codeword, mapping, bar_m):
-    """1-D amplitudes carried by a (decoded) codeword, PAM order."""
-    slots = apply_mapping(codeword, mapping).reshape(-1, bar_m)
-    if bar_m < 2:
-        raise ValueError("no amplitude bits at bar_m = 1")
-    return bits_to_amplitudes(slots[:, 1:], bar_m)
-
-
-def recover_matcher_payloads(amplitude_stream, composition):
-    """Decode every complete matcher codeword in a concatenated stream.
-
-    A trailing partial block (amplitudes whose matcher codeword has not
-    finished transmitting) is ignored.
+    ``y`` holds one frame's received symbols, or one row per frame with
+    ``mappings`` one BitMapping per row.  Returns the demapper's
+    (symbols, m) L-values of all symbols in order, and the codeword-order
+    L-values, shaped (n,) or (frames, n).
     """
-    stream = np.asarray(amplitude_stream)
-    n = composition.n_pam
-    return [ccdm_decode(stream[i * n:(i + 1) * n], composition)
-            for i in range(stream.size // n)]
+    y = np.asarray(y)
+    lam = bitwise_lvalues(y.reshape(-1), constellation, pmf, config)
+    return lam, invert_mapping(lam.reshape(*y.shape[:-1], -1), mappings)
 
 
 @dataclass(frozen=True)
 class CodedPointResult:
-    """Chain outcome at one operating point."""
+    """Chain outcome at one operating point.
+
+    An undetected frame error is a frame whose decoder output satisfies
+    every check but carries info bits other than the sent ones.
+    """
 
     snr_db: float
     frames: int
@@ -167,6 +207,9 @@ class CodedPointResult:
     converged_fraction: float   # valid codewords, after restarts
     bp_failures: int            # frames whose first flooding run failed
     restarts_used: int          # augmented-BP reruns over all frames
+    bit_errors: int             # wrong info bits over all frames
+    frame_errors: int           # frames with at least one wrong info bit
+    undetected_frame_errors: int
     asi: float
     ngmi: float
     r_fec_star: float
@@ -201,32 +244,36 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
     cfg = DemapperConfig(assumed_snr_db=assumed_snr_db, scale=scale)
     k = code.k
 
-    all_labels = np.empty((n_frames, stream.n_pam // 2), dtype=np.int64)
-    all_lam = np.empty((n_frames, stream.n_pam // 2, constellation.m))
-    sent_info = np.empty((n_frames, k), dtype=np.uint8)
-    decoded_info = np.empty((n_frames, k), dtype=np.uint8)
-    converged = bp_failures = restarts_used = frame_errors = 0
-    for f in range(n_frames):
-        frame = stream.next_frame()
+    frames = stream.next_frames(n_frames)
+    y = np.empty(frames.labels.shape, dtype=complex)
+    for f, frame_labels in enumerate(frames.labels):
         ch = ChannelConfig(snr_db, seed=seed, block_id=noise_block_base + f)
-        y = awgn(constellation.points[frame.labels], ch)
-        lam = bitwise_lvalues(y, constellation, pmf, cfg)
-        res = decode(code, invert_mapping(lam.reshape(-1), frame.mapping),
-                     max_iter=max_iter, restarts=restarts)
-        all_labels[f] = frame.labels
-        all_lam[f] = lam
-        sent_info[f] = frame.codeword[:k]
+        y[f] = awgn(constellation.points[frame_labels], ch)
+    lam, lam_cw = frame_lvalues(y, frames.mappings, constellation, pmf, cfg)
+    labels, sent_info = frames.labels, frames.codewords[:, :k]
+    # the metric tail sets the peak memory of a point, on top of what is
+    # still held then: keep only what the decode loop and the trace need
+    del frames, y
+
+    decoded_info = np.empty((n_frames, k), dtype=np.uint8)
+    converged = bp_failures = restarts_used = 0
+    bit_errors = frame_errors = undetected = 0
+    for f in range(n_frames):
+        res = decode(code, lam_cw[f], max_iter=max_iter, restarts=restarts)
         decoded_info[f] = res.info
         converged += bool(res.converged)
         # reruns happen only after a failed first run
         bp_failures += res.restarts > 0 or not res.converged
         restarts_used += res.restarts
-        frame_errors += not np.array_equal(res.info, frame.codeword[:k])
+        wrong = int(np.count_nonzero(res.info != sent_info[f]))
+        bit_errors += wrong
+        frame_errors += wrong > 0
+        undetected += wrong > 0 and bool(res.converged)
+    del lam_cw
 
     s_o = ChannelConfig(snr_db).snr_linear / cfg.assumed_snr_linear
-    trace = make_trace(constellation.labels_to_bits(all_labels.reshape(-1)),
-                       all_lam.reshape(-1, constellation.m), pmf,
-                       scale=scale, scale_opt=s_o)
+    trace = make_trace(constellation.labels_to_bits(labels.reshape(-1)),
+                       lam, pmf, scale=scale, scale_opt=s_o)
     post = post_fec_ber(decoded_info.reshape(-1), sent_info.reshape(-1))
     la = trace.asymmetric()
     g = gmi_from_trace(trace, la=la)
@@ -240,6 +287,9 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
         converged_fraction=converged / n_frames,
         bp_failures=bp_failures,
         restarts_used=restarts_used,
+        bit_errors=bit_errors,
+        frame_errors=frame_errors,
+        undetected_frame_errors=undetected,
         asi=asi_mc(trace, la=la),
         ngmi=ngmi(g.gmi_bits, trace.h_b, trace.m),
         r_fec_star=r_fec_star(trace, la=la).r_fec_star,

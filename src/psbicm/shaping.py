@@ -22,6 +22,7 @@ inverse at any block length, with no register-width bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -125,12 +126,12 @@ class AmplitudeComposition:
         """Shaping codeword length in 1-D (PAM) symbols."""
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def n_sequences(self):
         """Exact count of constant-composition sequences (multinomial)."""
         return multinomial(self.counts)
 
-    @property
+    @cached_property
     def k_ps(self):
         """Payload bits per shaping codeword: floor(log2 n_sequences)."""
         return self.n_sequences.bit_length() - 1
@@ -189,30 +190,27 @@ def ccdm_encode(payload_bits, composition):
     bits = np.asarray(payload_bits).ravel()
     if bits.size != k:
         raise ValueError(f"payload must have {k} bits, got {bits.size}")
-    u = 0
-    for b in bits:
-        u = (u << 1) | int(b)
+    # packbits pads the last byte with zeros on the right
+    u = int.from_bytes(np.packbits(bits.astype(bool)).tobytes(), "big") >> (-k % 8)
     c_total = composition.n_sequences
     r = (u * c_total) >> k            # sequence index, in [0, C)
-    counts = composition.counts.copy()
-    alphabet = composition.alphabet
-    n_rem = composition.n_pam
-    out = np.empty(n_rem, dtype=np.int64)
-    for pos in range(n_rem):
-        for j in range(alphabet.size):
-            if counts[j] == 0:
+    counts = composition.counts.tolist()
+    alphabet = composition.alphabet.tolist()
+    out = []
+    for n_rem in range(composition.n_pam, 0, -1):
+        for j, count in enumerate(counts):
+            if not count:
                 continue
-            c_j = _sequence_count_after(c_total, int(counts[j]), n_rem)
+            c_j = c_total * count // n_rem    # _sequence_count_after, inlined
             if r < c_j:
-                out[pos] = alphabet[j]
-                counts[j] -= 1
+                out.append(alphabet[j])
+                counts[j] = count - 1
                 c_total = c_j
-                n_rem -= 1
                 break
             r -= c_j
         else:                          # pragma: no cover - unreachable
             raise AssertionError("ran out of symbols while unranking")
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def ccdm_decode(amplitudes, composition):

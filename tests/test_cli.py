@@ -94,6 +94,7 @@ def test_fecscan_small_run(tmp_path):
     # ints are written as ints, and the BP failure counts are columns
     assert vals["frames"] == "8"
     assert vals["bp_failures"] == "0" and vals["restarts_used"] == "0"
+    assert vals["bit_errors"] == vals["frame_errors"] == vals["undetected_frame_errors"] == "0"
     doc = json.loads(jout.read_text())
     assert doc["schema"] == FECSCAN_SCHEMA
     assert list(doc["rows"][0]) == sorted(header.split(","))

@@ -134,6 +134,23 @@ def test_mapping_validation():
         build_mapping("fu", 12, 8, 3)   # seed required
     with pytest.raises(ValueError):
         BitMapping(np.array([1, 1, 2, 2]), "fs1", 2)   # trailing block not all 1
+    maps = [build_mapping("r", 12, 8, 3, seed=s) for s in (1, 2)]
+    with pytest.raises(ValueError):
+        apply_mapping(np.zeros((3, 12)), maps)         # one mapping per row
+    with pytest.raises(ValueError):
+        invert_mapping(np.zeros(12), maps)
+
+
+def test_per_row_mappings_equal_row_by_row():
+    rng = np.random.default_rng(8)
+    maps = [build_mapping("r", 24, 18, 4, seed=s) for s in range(5)]
+    x = rng.standard_normal((5, 24))
+    slots = apply_mapping(x, maps)
+    for row, m, got in zip(x, maps, slots):
+        assert np.array_equal(apply_mapping(row, m), got)
+    assert np.array_equal(invert_mapping(slots, maps), x)
+    # one mapping applies to every row
+    assert np.array_equal(apply_mapping(x, maps[0]), apply_mapping(x, [maps[0]] * 5))
 
 
 def test_mapping_roundtrip_property():
@@ -200,6 +217,34 @@ def test_encode_linearity_and_systematic():
     assert not parity_checks(code, ca ^ cb).any()
     with pytest.raises(ValueError):
         encode(code, a[:-1])
+
+
+def encode_per_edge(code, info):
+    """Staircase encoding as one edge at a time: s_j summed with np.add.at."""
+    s = np.zeros(code.n_rows, dtype=np.int64)
+    info_edges = code.row_cols < code.k
+    np.add.at(s, code.edge_row[info_edges], info[code.row_cols[info_edges]])
+    return np.concatenate([info, np.bitwise_xor.accumulate((s & 1).astype(np.uint8))])
+
+
+def test_batched_encode_equals_per_row_encode():
+    # rows 1 and 3 of the hand-built staircase carry no info edge; the
+    # last one starts past the end of the info edges
+    k = 2
+    gappy = LdpcCode.from_row_lists(
+        [[0, k], [k, k + 1], [1, k + 1, k + 2], [k + 2, k + 3]], k + 4, name="gappy")
+    assert gappy.encoder == "staircase"
+    rng = np.random.default_rng(21)
+    for code in (gappy, toy_code(), generate_code(96, "2/3", seed=29), reference_code()):
+        info = rng.integers(0, 2, (2, 5, code.k), dtype=np.uint8)
+        cw = encode(code, info)
+        assert cw.dtype == np.uint8 and cw.shape == (2, 5, code.n)
+        for row, word in zip(info.reshape(-1, code.k), cw.reshape(-1, code.n)):
+            assert np.array_equal(encode(code, row), word)
+            assert np.array_equal(encode_per_edge(code, row), word)
+            assert not parity_checks(code, word).any()
+    with pytest.raises(ValueError):
+        encode(gappy, np.zeros((3, k + 1), dtype=np.uint8))
 
 
 def test_decode_saturated_and_single_flip():
@@ -311,7 +356,7 @@ def test_restarts_recover_a_frame_flooding_bp_fails():
     for _ in range(88):
         frame = stream.next_frame()
     y = awgn(con.points[frame.labels], ChannelConfig(12.0, seed=51, block_id=87))
-    lam = frame_lvalues(y, frame.mapping, con, pmf, DemapperConfig(assumed_snr_db=12.0))
+    _, lam = frame_lvalues(y, frame.mapping, con, pmf, DemapperConfig(assumed_snr_db=12.0))
     first = decode(code, lam, max_iter=200)
     assert not first.converged and first.iterations == 200
     assert np.count_nonzero(first.info != frame.codeword[:code.k]) == 59
@@ -397,6 +442,10 @@ def test_alist_roundtrip(tmp_path):
         read_alist(p3)
     p3.write_text("4 99999999999999999999\n1 1\n")
     with pytest.raises(ValueError, match="64-bit integer"):
+        read_alist(p3)
+    # row 1 lists no column
+    p3.write_text("2 2\n1 2\n1 1\n2 0\n1\n1\n1 2\n")
+    with pytest.raises(ValueError, match="at least one column"):
         read_alist(p3)
 
 

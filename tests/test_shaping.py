@@ -108,6 +108,50 @@ def test_ccdm_exhaustive_roundtrip_and_composition():
         assert len(seen) == 2**k   # injective
 
 
+def ccdm_encode_shift_loop(bits, comp):
+    """Unranking with the payload built by shifts and numpy counts."""
+    k = comp.k_ps
+    u = 0
+    for b in bits:
+        u = (u << 1) | int(b)
+    c_total = multinomial(comp.counts)
+    r = (u * c_total) >> k
+    counts = comp.counts.copy()
+    n_rem = comp.n_pam
+    out = np.empty(n_rem, dtype=np.int64)
+    for pos in range(n_rem):
+        for j in range(comp.alphabet.size):
+            if counts[j] == 0:
+                continue
+            c_j = c_total * int(counts[j]) // n_rem
+            if r < c_j:
+                out[pos] = comp.alphabet[j]
+                counts[j] -= 1
+                c_total = c_j
+                n_rem -= 1
+                break
+            r -= c_j
+    return out
+
+
+def test_ccdm_encode_equals_shift_loop_unranking():
+    rng = np.random.default_rng(5)
+    cases = [([0, 3, 0, 2], [1, 3, 5, 7]),          # zero counts, k_ps = 3
+             ([5, 0, 4, 3], [1, 3, 5, 7]),          # k_ps = 14
+             ([9, 7], [1, 3])]                      # k_ps = 13
+    comps = [AmplitudeComposition(alphabet=np.array(a), counts=np.array(c))
+             for c, a in cases]
+    comps.append(quantize_pmf(amplitude_preset("i"), 1024))
+    for comp in comps:
+        assert comp.k_ps % 8 or comp.n_pam == 1024
+        payloads = [np.zeros(comp.k_ps, dtype=np.uint8), np.ones(comp.k_ps, dtype=np.uint8)]
+        payloads += [rng.integers(0, 2, comp.k_ps, dtype=np.uint8) for _ in range(20)]
+        for bits in payloads:
+            seq = ccdm_encode(bits, comp)
+            assert seq.dtype == np.int64
+            assert np.array_equal(seq, ccdm_encode_shift_loop(bits, comp))
+
+
 def test_ccdm_example_12_sequences():
     comp = AmplitudeComposition(alphabet=np.array([1, 3, 5]), counts=np.array([2, 1, 1]))
     assert comp.n_sequences == 12 and comp.k_ps == 3
