@@ -57,7 +57,6 @@ from .metrics import (
     rate_accounting,
 )
 from .fec import (
-    BitMapping,
     build_mapping,
     apply_mapping,
     invert_mapping,
@@ -68,12 +67,10 @@ from .fec import (
     write_alist,
     encode,
     decode,
-    post_fec_ber,
 )
 from .pas import (
-    PasStream,
-    PasFrame,
     PasFrames,
+    transmit,
     CodedPointResult,
     run_coded_point,
     frame_lvalues,

@@ -39,7 +39,7 @@ from .demapper import (DemapperConfig, Quantizer, consistency_check, demap_to_tr
                        read_trace, write_trace)
 from .fec import generate_code, read_alist, reference_code, write_alist
 from .metrics import MetricReport, compute_report
-from .pas import CodedPointResult, PasStream, run_coded_point
+from .pas import CodedPointResult, run_coded_point, transmit
 from .shaping import amplitude_preset, quantize_pmf, rate_loss
 
 _FORMATS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
@@ -216,8 +216,8 @@ def cmd_fecscan(args):
     con, pmf, comp = _build_format(cfg)
     code = _load_code(cfg)
     # fail fast on code/format/pmf combos the chain cannot frame
-    PasStream(code, con, pmf, composition=comp, mapping=cfg["mapping"],
-              mapping_seed=cfg["mapping_seed"])
+    transmit(code, con, pmf, 1, composition=comp, mapping=cfg["mapping"],
+             mapping_seed=cfg["mapping_seed"])
     cfg["code_rate"] = code.rate
     grid = _parse_grid(args.snr_db)
     results = _dispatch(_coded_point, [(cfg, i, s) for i, s in enumerate(grid)])

@@ -1,7 +1,8 @@
 """Bit-tributary mappings, LDPC codes, and belief-propagation decoding.
 
-A bit mapping assigns each codeword position to one bit tributary of the
-underlying PAM labels; structured (fs1/fs2), per-codeword random (r) and
+A bit mapping is a permutation of codeword positions onto label slots,
+which assigns each position to one bit tributary of the underlying PAM
+labels; structured (fs1/fs2), per-codeword random (r) and
 fixed unstructured (fu) mappings all keep the final n/bar_m positions on
 tributary 1, so that with a systematic encoder whose parity block is no
 longer than n/bar_m the parity bits land exclusively on sign slots.
@@ -38,6 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+# correctable input BER of the outer hard-decision code: a post-FEC BER at
+# or below it passes
 HD_FEC_THRESHOLD = 5e-5
 
 MAPPING_KINDS = ("fs1", "fs2", "r", "fu")
@@ -57,56 +60,21 @@ _REFERENCE_ALIST = "data/n1008_r12.alist"
 
 # --- bit mappings --------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BitMapping:
-    """Assignment of codeword positions to bit tributaries.
-
-    ``mapping[j]`` is the 1-based tributary fed by codeword position j.
-    Every tributary occurs exactly n/bar_m times and the trailing
-    n/bar_m positions are all tributary 1 (the sign slots).
-    """
-
-    mapping: np.ndarray
-    kind: str
-    bar_m: int
-    seed: int | None = None
-
-    def __post_init__(self):
-        n = self.mapping.size
-        if n % self.bar_m:
-            raise ValueError("mapping length must be divisible by bar_m")
-        counts = np.bincount(self.mapping, minlength=self.bar_m + 1)[1:]
-        if not np.all(counts == n // self.bar_m):
-            raise ValueError("each tributary must occur exactly n/bar_m times")
-        if not np.all(self.mapping[-(n // self.bar_m):] == 1):
-            raise ValueError("trailing n/bar_m positions must map to tributary 1")
-
-    @property
-    def n(self):
-        return self.mapping.size
-
-    @cached_property
-    def slot_permutation(self):
-        """slot index receiving codeword position j.
-
-        Slots are PAM-symbol major: symbol u holds slots u*bar_m + (t-1)
-        for tributaries t = 1..bar_m; the bits of one tributary fill its
-        slots in codeword order.
-        """
-        occ = np.empty(self.n, dtype=np.int64)
-        for t in range(1, self.bar_m + 1):
-            idx = np.flatnonzero(self.mapping == t)
-            occ[idx] = np.arange(idx.size)
-        return occ * self.bar_m + (self.mapping - 1)
-
-
 def build_mapping(kind, n, k, bar_m, seed=None, pas=True):
-    """Construct one of the fs1/fs2/r/fu tributary mappings.
+    """Construct one of the fs1/fs2/r/fu mappings as its slot permutation.
 
-    fs1 is block-contiguous [bar_m..bar_m, ..., 1..1]; fs2 cycles
-    [bar_m, bar_m-1, .., 2] before the trailing 1-block; r and fu
-    permute fs1's leading block randomly (r is meant to be rebuilt with
-    a fresh seed per codeword, fu keeps one fixed seed).  With ``pas``
+    Returns ``perm``, int64 of length n: codeword position j goes to slot
+    ``perm[j]`` and feeds tributary ``perm[j] % bar_m + 1``.  Slots are
+    PAM-symbol major: symbol u holds slots u*bar_m + (t-1) for
+    tributaries t = 1..bar_m, and the positions of one tributary fill its
+    slots in codeword order.
+
+    In codeword order the tributaries run: fs1 block-contiguous
+    [bar_m..bar_m, ..., 1..1]; fs2 cycles [bar_m, bar_m-1, .., 2] before
+    the trailing 1-block; r and fu permute fs1's leading block randomly
+    (r is meant to be rebuilt with a fresh seed per codeword, fu keeps one
+    fixed seed).  Every tributary feeds n/bar_m positions and the last
+    n/bar_m positions are all tributary 1, the sign slots.  With ``pas``
     the parity block must fit inside the sign slots: n - k <= n/bar_m.
     """
     kind = kind.lower()
@@ -124,43 +92,42 @@ def build_mapping(kind, n, k, bar_m, seed=None, pas=True):
         if seed is None:
             raise ValueError(f"{kind} mapping needs a seed")
         lead = np.random.default_rng(seed).permutation(lead)
-    m = np.concatenate([lead, np.ones(block, dtype=lead.dtype)])
-    return BitMapping(mapping=m, kind=kind, bar_m=bar_m, seed=seed)
+    tributary = np.concatenate([lead, np.ones(block, dtype=lead.dtype)])
+    # the stable sort lists positions tributary by tributary, each in
+    # codeword order: the i-th is position i % block of tributary i // block + 1
+    i = np.arange(n)
+    perm = np.empty(n, dtype=np.int64)
+    perm[np.argsort(tributary, kind="stable")] = (i % block) * bar_m + i // block
+    return perm
 
 
-def _slot_index(x, bit_mapping):
-    """Index of x that puts codeword positions in slot order.
-
-    ``bit_mapping`` is one BitMapping for every row of x, or a sequence
-    of them, one per row of a 2-D x.
-    """
-    if isinstance(bit_mapping, BitMapping):
-        index = (Ellipsis, bit_mapping.slot_permutation)
-    else:
-        perms = np.stack([m.slot_permutation for m in bit_mapping])
-        if x.ndim != 2 or x.shape[0] != perms.shape[0]:
-            raise ValueError("need a 2-D array with one row per mapping")
-        index = (np.arange(x.shape[0])[:, None], perms)
-    if x.shape[-1] != index[1].shape[-1]:
+def _slot_index(x, perm):
+    """``perm`` broadcast to x's shape: one permutation for every row, or
+    a (frames, n) stack with one per row of a 2-D x."""
+    perm = np.asarray(perm)
+    if perm.ndim == 2 and (x.ndim != 2 or x.shape[0] != perm.shape[0]):
+        raise ValueError("need a 2-D array with one row per mapping")
+    if x.shape[-1] != perm.shape[-1]:
         raise ValueError("length must equal the mapping size")
-    return index
+    return np.broadcast_to(perm, x.shape)
 
 
-def apply_mapping(x, bit_mapping):
+def apply_mapping(x, perm):
     """Codeword order -> tributary slot order (PAM-symbol major).
 
-    Maps the last axis of x, by one BitMapping or by one per row.
+    Maps the last axis of x by a ``build_mapping`` permutation of shape
+    (n,), or by one per row of a 2-D x, shape (frames, n).
     """
     x = np.asarray(x)
     out = np.empty_like(x)
-    out[_slot_index(x, bit_mapping)] = x
+    np.put_along_axis(out, _slot_index(x, perm), x, axis=-1)
     return out
 
 
-def invert_mapping(x, bit_mapping):
+def invert_mapping(x, perm):
     """Tributary slot order -> codeword order; inverse of apply_mapping."""
     x = np.asarray(x)
-    return x[_slot_index(x, bit_mapping)]
+    return np.take_along_axis(x, _slot_index(x, perm), axis=-1)
 
 
 # --- code representation -------------------------------------------------
@@ -660,9 +627,9 @@ class DecodeResult:
 
 
 def _phi(x):
-    # phi(x) = -ln tanh(x/2), involutive; the floor clip bounds check
+    # phi(x) = -ln tanh(x/2), involutive; the floor bounds check
     # magnitudes at phi(1e-12) ~ 28 instead of overflowing at exact zeros
-    return -np.log(np.tanh(np.clip(x, 1e-12, None) / 2.0))
+    return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
 
 
 def _flooding(code, lam, max_iter, unsat=None):
@@ -786,23 +753,3 @@ def decode(code, lvalues, max_iter=50, restarts=0):
             hard, converged = found, True
     return DecodeResult(codeword=hard, iterations=iterations,
                         converged=converged, k=code.k, restarts=runs)
-
-
-@dataclass(frozen=True)
-class PostFecResult:
-    ber: float
-    hd_fec_pass: bool
-
-
-def post_fec_ber(decoded, reference):
-    """Post-decoding bit error fraction and the outer-code verdict.
-
-    ``hd_fec_pass`` is True when the BER is at or below the outer
-    hard-decision code's correctable input threshold of 5e-5.
-    """
-    decoded = np.asarray(decoded, dtype=np.uint8).ravel()
-    reference = np.asarray(reference, dtype=np.uint8).ravel()
-    if decoded.size != reference.size:
-        raise ValueError("length mismatch")
-    ber = float(np.mean(decoded != reference))
-    return PostFecResult(ber=ber, hd_fec_pass=ber <= HD_FEC_THRESHOLD)

@@ -345,8 +345,9 @@ def test_criterion_10_mapping_invariance_of_pooled_metrics():
         mp = build_mapping(kind, n, n // 2, bar_m, seed=62, pas=False)
         la_cw = invert_mapping(la_slots, mp)     # same multiset, codeword order
         cost = soft_bit_cost(la_cw)
-        cond = (np.bincount(mp.mapping, weights=cost, minlength=bar_m + 1)[1:]
-                / np.bincount(mp.mapping, minlength=bar_m + 1)[1:])
+        tributary = mp % bar_m + 1
+        cond = (np.bincount(tributary, weights=cost, minlength=bar_m + 1)[1:]
+                / np.bincount(tributary, minlength=bar_m + 1)[1:])
         delta = tr.h_b - (tr.m / bar_m) * float(cond.sum())
         got[kind] = {
             "asi": 1.0 - (1.0 / bar_m) * float(cond.sum()),

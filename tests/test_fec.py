@@ -6,21 +6,20 @@ import pytest
 
 from psbicm import ChannelConfig, DemapperConfig, awgn, square_qam
 from psbicm.fec import (
-    HD_FEC_THRESHOLD,
-    BitMapping,
+    MAPPING_KINDS,
     LdpcCode,
+    _phi,
     apply_mapping,
     build_mapping,
     decode,
     encode,
     generate_code,
     invert_mapping,
-    post_fec_ber,
     read_alist,
     reference_code,
     write_alist,
 )
-from psbicm.pas import PasStream, frame_lvalues
+from psbicm.pas import frame_lvalues, transmit
 
 
 def reference_bp(rows, lam, max_iter=50):
@@ -100,9 +99,9 @@ def code_rows(code):
 
 def test_mapping_patterns_n12():
     fs1 = build_mapping("fs1", 12, 8, 3)
-    assert fs1.mapping.tolist() == [3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1]
+    assert (fs1 % 3 + 1).tolist() == [3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1]
     fs2 = build_mapping("fs2", 12, 8, 3)
-    assert fs2.mapping.tolist() == [3, 2, 3, 2, 3, 2, 3, 2, 1, 1, 1, 1]
+    assert (fs2 % 3 + 1).tolist() == [3, 2, 3, 2, 3, 2, 3, 2, 1, 1, 1, 1]
     # codeword position 0 fills the tributary-3 slot of the first symbol
     slots = apply_mapping(np.arange(12), fs1)
     assert slots.tolist() == [8, 4, 0, 9, 5, 1, 10, 6, 2, 11, 7, 3]
@@ -110,15 +109,38 @@ def test_mapping_patterns_n12():
 
 def test_mapping_counts_and_sign_block():
     for kind, seed in (("fs1", None), ("fs2", None), ("fu", 5), ("r", 9)):
-        bm = build_mapping(kind, 24, 16, 3, seed=seed)
-        counts = np.bincount(bm.mapping, minlength=4)[1:]
+        perm = build_mapping(kind, 24, 16, 3, seed=seed)
+        assert np.array_equal(np.sort(perm), np.arange(24))
+        tributary = perm % 3 + 1
+        counts = np.bincount(tributary, minlength=4)[1:]
         assert counts.tolist() == [8, 8, 8]
-        assert np.all(bm.mapping[-8:] == 1)
+        assert np.all(tributary[-8:] == 1)
     a = build_mapping("fu", 24, 16, 3, seed=5)
     b = build_mapping("fu", 24, 16, 3, seed=6)
     c = build_mapping("fu", 24, 16, 3, seed=5)
-    assert not np.array_equal(a.mapping, b.mapping)
-    assert np.array_equal(a.mapping, c.mapping)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(a, c)
+
+
+def loop_slot_permutation(tributary, bar_m):
+    """Slot of each codeword position, one tributary at a time: the
+    positions of tributary t fill its slots u*bar_m + (t-1) in order."""
+    occ = np.empty(tributary.size, dtype=np.int64)
+    for t in range(1, bar_m + 1):
+        idx = np.flatnonzero(tributary == t)
+        occ[idx] = np.arange(idx.size)
+    return occ * bar_m + (tributary - 1)
+
+
+def test_mapping_permutation_equals_per_tributary_loop():
+    for bar_m in range(1, 5):
+        for block in (1, 3, 8, 21):
+            n = bar_m * block
+            for kind in MAPPING_KINDS:
+                for seed in (0, 1, 17, 2**31 - 1):
+                    perm = build_mapping(kind, n, n - block, bar_m, seed=seed)
+                    ref = loop_slot_permutation(perm % bar_m + 1, bar_m)
+                    assert perm.dtype == np.int64 and np.array_equal(perm, ref)
 
 
 def test_mapping_validation():
@@ -132,25 +154,25 @@ def test_mapping_validation():
         build_mapping("zigzag", 12, 8, 3)
     with pytest.raises(ValueError):
         build_mapping("fu", 12, 8, 3)   # seed required
-    with pytest.raises(ValueError):
-        BitMapping(np.array([1, 1, 2, 2]), "fs1", 2)   # trailing block not all 1
-    maps = [build_mapping("r", 12, 8, 3, seed=s) for s in (1, 2)]
-    with pytest.raises(ValueError):
-        apply_mapping(np.zeros((3, 12)), maps)         # one mapping per row
-    with pytest.raises(ValueError):
-        invert_mapping(np.zeros(12), maps)
+    perms = np.stack([build_mapping("r", 12, 8, 3, seed=s) for s in (1, 2)])
+    with pytest.raises(ValueError, match="one row per mapping"):
+        apply_mapping(np.zeros((3, 12)), perms)
+    with pytest.raises(ValueError, match="one row per mapping"):
+        invert_mapping(np.zeros(12), perms)
+    with pytest.raises(ValueError, match="mapping size"):
+        invert_mapping(np.zeros((2, 11)), perms)
 
 
 def test_per_row_mappings_equal_row_by_row():
     rng = np.random.default_rng(8)
-    maps = [build_mapping("r", 24, 18, 4, seed=s) for s in range(5)]
+    perms = np.stack([build_mapping("r", 24, 18, 4, seed=s) for s in range(5)])
     x = rng.standard_normal((5, 24))
-    slots = apply_mapping(x, maps)
-    for row, m, got in zip(x, maps, slots):
-        assert np.array_equal(apply_mapping(row, m), got)
-    assert np.array_equal(invert_mapping(slots, maps), x)
+    slots = apply_mapping(x, perms)
+    for row, perm, got in zip(x, perms, slots):
+        assert np.array_equal(apply_mapping(row, perm), got)
+    assert np.array_equal(invert_mapping(slots, perms), x)
     # one mapping applies to every row
-    assert np.array_equal(apply_mapping(x, maps[0]), apply_mapping(x, [maps[0]] * 5))
+    assert np.array_equal(apply_mapping(x, perms[0]), apply_mapping(x, perms[[0] * 5]))
 
 
 def test_mapping_roundtrip_property():
@@ -160,9 +182,9 @@ def test_mapping_roundtrip_property():
         n = bar_m * int(rng.integers(2, 7))
         kind = ("fs1", "fs2", "fu", "r")[trial % 4]
         seed = int(rng.integers(1 << 30)) if kind in ("fu", "r") else None
-        bm = build_mapping(kind, n, n - n // bar_m, bar_m, seed=seed)
+        perm = build_mapping(kind, n, n - n // bar_m, bar_m, seed=seed)
         x = rng.standard_normal(n)
-        assert np.array_equal(invert_mapping(apply_mapping(x, bm), bm), x)
+        assert np.array_equal(invert_mapping(apply_mapping(x, perm), perm), x)
     with pytest.raises(ValueError):
         apply_mapping(np.zeros(5), build_mapping("fs1", 12, 8, 3))
 
@@ -346,23 +368,31 @@ def test_restarts_converge_only_to_codewords():
     assert outcomes >= {(True, True), (True, False), (False, False)}
 
 
+def test_phi_floor_equals_the_clip_form():
+    # check inputs row_mag - mag can round to 0, -0.0 or a tiny negative
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, -0.0, -tiny, tiny, -1e-300, -1e-17, -2.2e-16, 1e-13,
+                  np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0),
+                  1e-6, 0.5, 3.0, 40.0, 1e300])
+    assert np.array_equal(_phi(x), -np.log(np.tanh(np.clip(x, 1e-12, None) / 2.0)))
+
+
 def test_restarts_recover_a_frame_flooding_bp_fails():
     # block 87 of criterion 09's fs1 stream at 12.0 dB (seed 51): flooding
     # BP stops on 59 wrong info bits after 200 iterations, the restart
     # search returns the sent codeword
     code = reference_code()
     con, pmf = square_qam(6)
-    stream = PasStream(code, con, pmf, mapping="fs1", mapping_seed=7, seed=51)
-    for _ in range(88):
-        frame = stream.next_frame()
-    y = awgn(con.points[frame.labels], ChannelConfig(12.0, seed=51, block_id=87))
-    _, lam = frame_lvalues(y, frame.mapping, con, pmf, DemapperConfig(assumed_snr_db=12.0))
+    frames = transmit(code, con, pmf, 88, mapping="fs1", mapping_seed=7, seed=51)
+    codeword = frames.codewords[87]
+    y = awgn(con.points[frames.labels[87]], ChannelConfig(12.0, seed=51, block_id=87))
+    _, lam = frame_lvalues(y, frames.perms[87], con, pmf, DemapperConfig(assumed_snr_db=12.0))
     first = decode(code, lam, max_iter=200)
     assert not first.converged and first.iterations == 200
-    assert np.count_nonzero(first.info != frame.codeword[:code.k]) == 59
+    assert np.count_nonzero(first.info != codeword[:code.k]) == 59
     res = decode(code, lam, max_iter=200, restarts=400)
     assert res.converged and 1 <= res.restarts <= 400
-    assert np.array_equal(res.codeword, frame.codeword)
+    assert np.array_equal(res.codeword, codeword)
 
 
 def test_restart_budget_validation():
@@ -476,21 +506,6 @@ def test_alist_rejects_inconsistent_adjacency(tmp_path):
         read_alist(p)
 
 
-def test_post_fec_ber_threshold():
-    a = np.zeros(100_000, dtype=np.uint8)
-    r = post_fec_ber(a, a)
-    assert r.ber == 0.0 and r.hd_fec_pass
-    b = a.copy()
-    b[0] = 1
-    r = post_fec_ber(b, a)
-    assert r.ber == pytest.approx(1e-5) and r.hd_fec_pass
-    c = a.copy()
-    c[:10] = 1
-    r = post_fec_ber(c, a)
-    assert r.ber == pytest.approx(1e-4) and not r.hd_fec_pass
-    assert HD_FEC_THRESHOLD == 5e-5
-
-
 def test_mapping_permutation_keeps_pooled_metrics():
     # permuting (bit, L) pairs through any mapping leaves pooled
     # sample metrics unchanged up to summation order
@@ -504,7 +519,7 @@ def test_mapping_permutation_keeps_pooled_metrics():
     base_asi = 1.0 - float(np.mean(soft_bit_cost(la)))
     base_ber = float(np.mean(la < 0))
     for kind, seed in (("fs1", None), ("fs2", None), ("fu", 37)):
-        bm = build_mapping(kind, n, n - n // 3, 3, seed=seed)
-        la_perm = apply_mapping(la, bm)
+        perm = build_mapping(kind, n, n - n // 3, 3, seed=seed)
+        la_perm = apply_mapping(la, perm)
         assert abs(1.0 - float(np.mean(soft_bit_cost(la_perm))) - base_asi) < 1e-12
         assert float(np.mean(la_perm < 0)) == base_ber

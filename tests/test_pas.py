@@ -6,10 +6,10 @@ import pytest
 from psbicm.channel import ChannelConfig, awgn
 from psbicm.constellation import gray_pam_levels, square_qam
 from psbicm.demapper import DemapperConfig, bitwise_lvalues, make_trace
-from psbicm.fec import (apply_mapping, build_mapping, decode, encode, generate_code,
-                        invert_mapping, post_fec_ber)
+from psbicm.fec import (HD_FEC_THRESHOLD, apply_mapping, build_mapping, decode, encode,
+                        generate_code, invert_mapping)
 from psbicm.metrics import asi_mc, gmi_from_trace, ngmi, pre_fec_ber, r_fec_star
-from psbicm.pas import CodedPointResult, PasStream, frame_lvalues, run_coded_point
+from psbicm.pas import CodedPointResult, frame_lvalues, run_coded_point, transmit
 from psbicm.shaping import (amplitude_preset, amplitudes_to_bits, bits_to_amplitudes,
                             ccdm_decode, ccdm_encode, quantize_pmf)
 
@@ -23,26 +23,25 @@ def shaped_setup():
 
 def test_noiseless_shaped_round_trip():
     con, pmf, comp, code = shaped_setup()
-    stream = PasStream(code, con, pmf, composition=comp, mapping="fs2", seed=5)
+    frames = transmit(code, con, pmf, 6, composition=comp, mapping="fs2", seed=5)
     cfg = DemapperConfig(assumed_snr_db=15.0)
     sent_amps = []
-    for _ in range(6):
-        frame = stream.next_frame()
-        y = con.points[frame.labels]            # noiseless
-        _, lam = frame_lvalues(y, frame.mapping, con, pmf, cfg)
+    for f in range(6):
+        y = con.points[frames.labels[f]]        # noiseless
+        _, lam = frame_lvalues(y, frames.perms[f], con, pmf, cfg)
         res = decode(code, lam)
         assert res.converged and res.iterations == 0
-        assert np.array_equal(res.codeword, frame.codeword)
-        slots = apply_mapping(res.codeword, frame.mapping).reshape(-1, con.bar_m)
+        assert np.array_equal(res.codeword, frames.codewords[f])
+        slots = apply_mapping(res.codeword, frames.perms[f]).reshape(-1, con.bar_m)
         amps = bits_to_amplitudes(slots[:, 1:], con.bar_m)
-        assert np.array_equal(amps, frame.amplitudes)
+        assert np.array_equal(amps, frames.amplitudes[f])
         sent_amps.append(amps)
 
     # every completely transmitted matcher codeword decodes to its payload
     stream_amps = np.concatenate(sent_amps)
     blocks = stream_amps.size // comp.n_pam
     assert blocks > 0
-    for i, sent in enumerate(stream.matcher_payloads[:blocks]):
+    for i, sent in enumerate(frames.payloads[:blocks]):
         got = ccdm_decode(stream_amps[i * comp.n_pam:(i + 1) * comp.n_pam], comp)
         assert np.array_equal(got, sent)
 
@@ -73,9 +72,9 @@ def per_frame_point(code, con, pmf, snr_db, n_frames, *, composition=None,
     converged = bp_failures = restarts_used = 0
     bit_errors = frame_errors = undetected = 0
     for f in range(n_frames):
-        bm = fixed
-        if bm is None:
-            bm = build_mapping("r", n, k, bar_m, seed=int(map_rng.integers(1 << 31)), pas=pas)
+        perm = fixed
+        if perm is None:
+            perm = build_mapping("r", n, k, bar_m, seed=int(map_rng.integers(1 << 31)), pas=pas)
         if not pas:
             info = rng.integers(0, 2, size=k, dtype=np.uint8)
         else:
@@ -86,13 +85,13 @@ def per_frame_point(code, con, pmf, snr_db, n_frames, *, composition=None,
             slots = np.zeros((n_pam, bar_m), dtype=np.uint8)
             slots[:, 1:] = amplitudes_to_bits(amps, bar_m)
             info = np.empty(k, dtype=np.uint8)
-            info[:n_amp] = slots.reshape(-1)[bm.slot_permutation[:n_amp]]
+            info[:n_amp] = slots.reshape(-1)[perm[:n_amp]]
             info[n_amp:] = rng.integers(0, 2, size=k - n_amp, dtype=np.uint8)
         cw = encode(code, info)
-        labels = con.bits_to_labels(apply_mapping(cw, bm).reshape(-1, 2 * bar_m))
+        labels = con.bits_to_labels(apply_mapping(cw, perm).reshape(-1, 2 * bar_m))
         y = awgn(con.points[labels], ChannelConfig(snr_db, seed=seed, block_id=f))
         lam = bitwise_lvalues(y, con, pmf, cfg)
-        res = decode(code, invert_mapping(lam.reshape(-1), bm),
+        res = decode(code, invert_mapping(lam.reshape(-1), perm),
                      max_iter=max_iter, restarts=restarts)
         labels_all.append(labels)
         lam_all.append(lam)
@@ -111,11 +110,11 @@ def per_frame_point(code, con, pmf, snr_db, n_frames, *, composition=None,
     s_o = ChannelConfig(snr_db).snr_linear / cfg.assumed_snr_linear
     trace = make_trace(con.labels_to_bits(np.concatenate(labels_all)),
                        np.concatenate(lam_all), pmf, scale_opt=s_o)
-    post = post_fec_ber(np.concatenate(decoded_all), np.concatenate(sent_all))
+    post_ber = float(np.mean(np.concatenate(decoded_all) != np.concatenate(sent_all)))
     g = gmi_from_trace(trace)
     result = CodedPointResult(
         snr_db=float(snr_db), frames=n_frames, pre_fec_ber=pre_fec_ber(trace),
-        post_fec_ber=post.ber, hd_fec_pass=post.hd_fec_pass,
+        post_fec_ber=post_ber, hd_fec_pass=post_ber <= HD_FEC_THRESHOLD,
         frame_error_rate=frame_errors / n_frames,
         converged_fraction=converged / n_frames, bp_failures=bp_failures,
         restarts_used=restarts_used, bit_errors=bit_errors, frame_errors=frame_errors,
@@ -172,75 +171,52 @@ def test_staged_chain_equals_per_frame_chain(case):
         assert res.undetected_frame_errors == 1 < res.frame_errors
 
 
-def test_batch_sizes_do_not_change_the_stream():
-    con, pmf, comp, code = shaped_64qam_setup()
-    one = PasStream(code, con, pmf, composition=comp, mapping="r", mapping_seed=2, seed=3)
-    batched = PasStream(code, con, pmf, composition=comp, mapping="r", mapping_seed=2, seed=3)
-    singles = [one.next_frame() for _ in range(7)]
-    stacked = [batched.next_frames(c) for c in (3, 1, 3)]
-    codewords = np.concatenate([s.codewords for s in stacked])
-    labels = np.concatenate([s.labels for s in stacked])
-    amps = np.concatenate([s.amplitudes for s in stacked])
-    mappings = [m for s in stacked for m in s.mappings]
-    for f, frame in enumerate(singles):
-        assert np.array_equal(frame.codeword, codewords[f])
-        assert np.array_equal(frame.labels, labels[f])
-        assert np.array_equal(frame.amplitudes, amps[f])
-        assert np.array_equal(frame.mapping.mapping, mappings[f].mapping)
-    assert len(one.matcher_payloads) == len(batched.matcher_payloads)
-    for a, b in zip(one.matcher_payloads, batched.matcher_payloads):
-        assert np.array_equal(a, b)
-    assert np.array_equal(one._amp_buffer, batched._amp_buffer)
-
-
 def test_batched_frame_lvalues_equal_per_frame_demap():
     con, pmf = square_qam(6)
     code = generate_code(144, "2/3", seed=2)
-    stream = PasStream(code, con, pmf, mapping="r", mapping_seed=1, seed=2)
-    frames = stream.next_frames(4)
+    frames = transmit(code, con, pmf, 4, mapping="r", mapping_seed=1, seed=2)
     cfg = DemapperConfig(assumed_snr_db=9.0, scale=0.8)
     y = np.stack([awgn(con.points[lab], ChannelConfig(10.0, seed=1, block_id=f))
                   for f, lab in enumerate(frames.labels)])
-    lam, lam_cw = frame_lvalues(y, frames.mappings, con, pmf, cfg)
+    lam, lam_cw = frame_lvalues(y, frames.perms, con, pmf, cfg)
     assert lam.shape == (y.size, con.m) and lam_cw.shape == (4, code.n)
     for f in range(4):
         per_frame = bitwise_lvalues(y[f], con, pmf, cfg)
         assert np.array_equal(lam[f * y.shape[1]:(f + 1) * y.shape[1]], per_frame)
         assert np.array_equal(lam_cw[f], invert_mapping(per_frame.reshape(-1),
-                                                        frames.mappings[f]))
+                                                        frames.perms[f]))
 
 
 def test_frame_structure_shaped():
     con, pmf, comp, code = shaped_setup()
-    stream = PasStream(code, con, pmf, composition=comp, mapping="fs1", seed=1)
+    frames = transmit(code, con, pmf, 1, composition=comp, mapping="fs1", seed=1)
     lev = gray_pam_levels(con.bar_m)
-    frame = stream.next_frame()
+    labels, codeword, amps = frames.labels[0], frames.codewords[0], frames.amplitudes[0]
 
     # transmitted PAM magnitudes are exactly the matcher amplitudes (I, Q order)
-    i_lab = frame.labels >> con.bar_m
-    q_lab = frame.labels & ((1 << con.bar_m) - 1)
+    i_lab = labels >> con.bar_m
+    q_lab = labels & ((1 << con.bar_m) - 1)
     mags = np.abs(np.stack([lev[i_lab], lev[q_lab]], axis=1)).reshape(-1)
-    assert np.array_equal(mags, frame.amplitudes)
+    assert np.array_equal(mags, amps)
 
     # parity bits occupy the trailing sign slots
-    from psbicm.fec import apply_mapping
-    slots = apply_mapping(frame.codeword, frame.mapping).reshape(-1, con.bar_m)
-    assert np.array_equal(slots[stream.n_sign_info:, 0], frame.codeword[code.k:])
+    n_sign_info = code.k - (code.n - code.n // con.bar_m)
+    slots = apply_mapping(codeword, frames.perms[0]).reshape(-1, con.bar_m)
+    assert np.array_equal(slots[n_sign_info:, 0], codeword[code.k:])
     # amplitude slots carry the amplitude-select bits
-    from psbicm.shaping import amplitudes_to_bits
-    assert np.array_equal(slots[:, 1:], amplitudes_to_bits(frame.amplitudes, con.bar_m))
+    assert np.array_equal(slots[:, 1:], amplitudes_to_bits(amps, con.bar_m))
 
 
 def test_matcher_buffering_carries_leftovers():
     con, pmf, comp, code = shaped_setup()
-    stream = PasStream(code, con, pmf, composition=comp, seed=0)
     n_frames = 5
-    for _ in range(n_frames):
-        stream.next_frame()
-    need = n_frames * stream.n_pam
-    pulled = len(stream.matcher_payloads) * comp.n_pam
+    frames = transmit(code, con, pmf, n_frames, composition=comp, seed=0)
+    need = n_frames * (code.n // con.bar_m)
+    pulled = len(frames.payloads) * comp.n_pam
     assert pulled >= need and pulled - need < comp.n_pam
-    assert stream._amp_buffer.size == pulled - need
+    # the frames cut one matched stream: leftovers carry over to the next frame
+    matched = np.concatenate([ccdm_encode(p, comp) for p in frames.payloads])
+    assert np.array_equal(frames.amplitudes.reshape(-1), matched[:need])
 
 
 def test_payload_independent_of_mapping_uniform():
@@ -248,10 +224,9 @@ def test_payload_independent_of_mapping_uniform():
     code = generate_code(96, "1/2", seed=11)
     frames = {}
     for kind in ("fs1", "fs2", "fu"):
-        stream = PasStream(code, con, pmf, mapping=kind, mapping_seed=3, seed=9)
-        frames[kind] = stream.next_frame()
-    assert np.array_equal(frames["fs1"].codeword, frames["fs2"].codeword)
-    assert np.array_equal(frames["fs1"].codeword, frames["fu"].codeword)
+        frames[kind] = transmit(code, con, pmf, 1, mapping=kind, mapping_seed=3, seed=9)
+    assert np.array_equal(frames["fs1"].codewords, frames["fs2"].codewords)
+    assert np.array_equal(frames["fs1"].codewords, frames["fu"].codewords)
     assert not np.array_equal(frames["fs1"].labels, frames["fu"].labels)
 
 
@@ -259,9 +234,8 @@ def test_shaped_amplitudes_independent_of_mapping():
     con, pmf, comp, code = shaped_setup()
     amps = {}
     for kind in ("fs1", "fs2", "fu"):
-        stream = PasStream(code, con, pmf, composition=comp, mapping=kind,
-                           mapping_seed=3, seed=9)
-        amps[kind] = stream.next_frame().amplitudes
+        amps[kind] = transmit(code, con, pmf, 1, composition=comp, mapping=kind,
+                              mapping_seed=3, seed=9).amplitudes
     assert np.array_equal(amps["fs1"], amps["fs2"])
     assert np.array_equal(amps["fs1"], amps["fu"])
 
@@ -271,28 +245,29 @@ def test_random_mapping_reproducible_per_stream():
     # permutation collapses to the same mapping array
     con, pmf = square_qam(6)
     code = generate_code(144, "2/3", seed=2)
-    a = PasStream(code, con, pmf, mapping="r", mapping_seed=4, seed=1)
-    b = PasStream(code, con, pmf, mapping="r", mapping_seed=4, seed=1)
-    fa, fb = a.next_frame(), b.next_frame()
-    assert np.array_equal(fa.mapping.mapping, fb.mapping.mapping)
-    assert np.array_equal(fa.labels, fb.labels)
+    a = transmit(code, con, pmf, 2, mapping="r", mapping_seed=4, seed=1)
+    b = transmit(code, con, pmf, 2, mapping="r", mapping_seed=4, seed=1)
+    assert np.array_equal(a.perms, b.perms)
+    assert np.array_equal(a.labels, b.labels)
     # fresh draw per frame, and a different mapping seed diverges
-    assert not np.array_equal(a.next_frame().mapping.mapping, fa.mapping.mapping)
-    c = PasStream(code, con, pmf, mapping="r", mapping_seed=5, seed=1)
-    assert not np.array_equal(c.next_frame().mapping.mapping, fa.mapping.mapping)
+    assert not np.array_equal(a.perms[1], a.perms[0])
+    c = transmit(code, con, pmf, 1, mapping="r", mapping_seed=5, seed=1)
+    assert not np.array_equal(c.perms[0], a.perms[0])
 
 
 def test_stream_validation():
     con, pmf, comp, code = shaped_setup()
     with pytest.raises(ValueError):                   # alphabet size mismatch
-        PasStream(code, *square_qam(6), composition=comp)
+        transmit(code, *square_qam(6), 1, composition=comp)
     qcon, qpmf = square_qam(2)
     with pytest.raises(ValueError):                   # no amplitude bits on QPSK
-        PasStream(code, qcon, qpmf, composition=comp)
+        transmit(code, qcon, qpmf, 1, composition=comp)
     low = generate_code(144, "1/3", seed=2)
     with pytest.raises(ValueError):                   # parity exceeds sign slots
-        PasStream(low, con, pmf, composition=comp)
-    PasStream(low, con, pmf)                          # fine for uniform signaling
+        transmit(low, con, pmf, 1, composition=comp)
+    with pytest.raises(ValueError, match="at least one frame"):
+        transmit(code, con, pmf, 0, composition=comp)
+    transmit(low, con, pmf, 1)                        # fine for uniform signaling
 
 
 def test_run_coded_point_clean_regime():
@@ -312,7 +287,8 @@ def test_run_coded_point_clean_regime():
 
 def test_run_coded_point_counts_bp_failures_and_restarts():
     # at 3 dB one of 40 frames defeats 20 flooding iterations, and the
-    # restart search rescues it
+    # restart search rescues it: FER 1/40 fails the hard-decision threshold
+    # without restarts and passes with them
     con, pmf = square_qam(2)
     code = generate_code(96, "1/2", seed=11)
     kw = dict(snr_db=3.0, n_frames=40, seed=3, max_iter=20)
@@ -320,11 +296,12 @@ def test_run_coded_point_counts_bp_failures_and_restarts():
     assert bp.bp_failures == 1 and bp.restarts_used == 0
     assert bp.frame_error_rate == 1 / 40 and bp.converged_fraction == 39 / 40
     assert bp.frame_errors == 1 and bp.bit_errors > 0 and bp.undetected_frame_errors == 0
+    assert bp.post_fec_ber > HD_FEC_THRESHOLD == 5e-5 and not bp.hd_fec_pass
     aug, _ = run_coded_point(code, con, pmf, restarts=50, **kw)
     assert aug.bp_failures == 1 and 1 <= aug.restarts_used <= 50
     assert aug.frame_error_rate == 0.0 and aug.converged_fraction == 1.0
     assert aug.frame_errors == aug.bit_errors == 0
-    assert aug.post_fec_ber == 0.0 < bp.post_fec_ber
+    assert aug.post_fec_ber == 0.0 < bp.post_fec_ber and aug.hd_fec_pass
 
 
 def test_run_coded_point_shaped_smoke():

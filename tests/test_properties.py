@@ -108,7 +108,7 @@ def test_ccdm_roundtrip_on_random_compositions(counts, seed):
        seed=st.integers(0, 2**31 - 1))
 def test_mapping_inverts_for_every_kind(kind, bar_m, block, rows, seed):
     n = bar_m * block
-    bm = build_mapping(kind, n, n - block, bar_m, seed=seed)
+    perm = build_mapping(kind, n, n - block, bar_m, seed=seed)
     x = np.random.default_rng(seed).standard_normal((rows, n))
-    assert np.array_equal(invert_mapping(apply_mapping(x, bm), bm), x)
-    assert np.array_equal(apply_mapping(invert_mapping(x, bm), bm), x)
+    assert np.array_equal(invert_mapping(apply_mapping(x, perm), perm), x)
+    assert np.array_equal(apply_mapping(invert_mapping(x, perm), perm), x)
