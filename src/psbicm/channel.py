@@ -1,16 +1,16 @@
-"""Complex AWGN channel with deterministic, parallel-safe noise streams.
+"""Complex AWGN channel with deterministic, counter-keyed noise streams.
 
 SNR is defined as symbol energy over total 2-D noise power, so at unit
 average symbol energy the per-dimension noise variance is
 ``1 / (2 * snr_linear)``.  Noise comes from a counter-based generator
 (Philox) keyed by ``(seed, block_id)``: every block id opens a separate,
 statistically independent stream, letting a sweep draw noise for its
-points in any order (or in parallel workers) while staying bit-for-bit
-reproducible.
+points in any order while staying bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,8 @@ import numpy as np
 class ChannelConfig:
     """AWGN operating point plus noise-stream identity.
 
-    ``snr_db = inf`` turns the channel noiseless.
+    ``snr_db = inf`` turns the channel noiseless.  ``seed`` and
+    ``block_id`` are integers in [0, 2**64): they key the Philox stream.
     """
 
     snr_db: float
@@ -30,6 +31,11 @@ class ChannelConfig:
     def __post_init__(self):
         if np.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
+        for name in ("seed", "block_id"):
+            v = getattr(self, name)
+            if (not isinstance(v, numbers.Integral) or isinstance(v, bool)
+                    or not 0 <= v < 1 << 64):
+                raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
 
     @property
     def snr_linear(self):

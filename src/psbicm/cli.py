@@ -17,9 +17,9 @@ coverage of the L-value consistency fit per tributary
 (``demapper.consistency_check``; slope s_o/s = 1 for a matched demapper).
 
 Determinism: labels, noise and payloads for grid point ``i`` come from
-counter-based substreams keyed ``(seed, i)``, so a sweep produces
-bit-identical rows whether points run serially or in a worker pool
-(``PSBICM_WORKERS`` processes, default 1), and in any dispatch order.
+counter-based substreams keyed ``(seed, i)``, so a row depends only on
+the configuration and its grid index.  The format, quantizer and code
+are built once per run; the points then run in grid order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -39,7 +38,7 @@ from .demapper import (DemapperConfig, Quantizer, consistency_check, demap_to_tr
                        read_trace, write_trace)
 from .fec import generate_code, read_alist, reference_code, write_alist
 from .metrics import MetricReport, compute_report
-from .pas import CodedPointResult, run_coded_point, transmit
+from .pas import CodedPointResult, run_coded_point
 from .shaping import amplitude_preset, quantize_pmf, rate_loss
 
 _FORMATS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
@@ -65,26 +64,6 @@ def _parse_grid(text):
     return vals
 
 
-def _workers():
-    raw = os.environ.get("PSBICM_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ValueError(f"PSBICM_WORKERS must be an integer, got {raw!r}") from e
-    if n < 1:
-        raise ValueError("PSBICM_WORKERS must be >= 1")
-    return n
-
-
-def _dispatch(fn, configs):
-    """Run fn over per-point configs, preserving grid order."""
-    n = _workers()
-    if n == 1 or len(configs) <= 1:
-        return [fn(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, configs))
-
-
 def _build_format(cfg):
     """(constellation, pmf, composition) from an echoed config dict."""
     m = _FORMATS[cfg["format"]]
@@ -100,16 +79,8 @@ def _build_format(cfg):
     return con, pmf, comp
 
 
-def _quantizer(cfg):
-    if cfg.get("quantizer_levels") is None:
-        return None
-    return Quantizer(cfg["quantizer_levels"], cfg["quantizer_step"])
-
-
-def _metric_point(job):
-    cfg, i, snr_db = job
-    con, pmf, comp = _build_format(cfg)
-    qz = _quantizer(cfg)
+def _metric_point(cfg, i, snr_db, con, pmf, qz, r_loss):
+    """MetricReport of grid point i; writes its trace when asked."""
     rng = ChannelConfig(snr_db, seed=cfg["seed"], block_id=2 * i + 1).rng()
     labels = draw_labels(pmf, cfg["symbols_per_block"], rng)
     ch = ChannelConfig(snr_db, seed=cfg["seed"], block_id=2 * i)
@@ -118,25 +89,11 @@ def _metric_point(job):
                           scale=cfg["scale"], quantizer=qz)
     trace = demap_to_trace(labels, y, con, pmf, dcfg,
                            channel_snr_linear=ch.snr_linear)
-    r_loss = rate_loss(comp) if comp is not None else 0.0
     report = compute_report(trace, quantizer=qz, r_c=cfg.get("code_rate"),
                             r_loss=r_loss)
     if cfg.get("trace_dir"):
         write_trace(os.path.join(cfg["trace_dir"], f"point_{i:03d}.lvt"), trace)
     return report
-
-
-def _coded_point(job):
-    cfg, i, snr_db = job
-    con, pmf, comp = _build_format(cfg)
-    code = _load_code(cfg)
-    res, _ = run_coded_point(
-        code, con, pmf, snr_db, cfg["codewords"],
-        composition=comp, mapping=cfg["mapping"], mapping_seed=cfg["mapping_seed"],
-        seed=cfg["seed"], max_iter=cfg["max_iter"],
-        assumed_snr_db=snr_db + cfg["assumed_snr_offset_db"], scale=cfg["scale"],
-        noise_block_base=i * cfg["codewords"])
-    return res
 
 
 def _load_code(cfg):
@@ -192,11 +149,15 @@ def cmd_sweep(args):
         raise ValueError("metric runs need at least 10^4 symbols per point")
     if (cfg["quantizer_levels"] is None) != (cfg["quantizer_step"] is None):
         raise ValueError("set both quantizer levels and step, or neither")
-    _build_format(cfg)                     # fail fast on bad format/pmf combos
+    con, pmf, comp = _build_format(cfg)
+    qz = None
+    if cfg["quantizer_levels"] is not None:
+        qz = Quantizer(cfg["quantizer_levels"], cfg["quantizer_step"])
+    r_loss = rate_loss(comp) if comp is not None else 0.0
     if cfg["trace_dir"]:
         os.makedirs(cfg["trace_dir"], exist_ok=True)
     grid = _parse_grid(args.snr_db)
-    reports = _dispatch(_metric_point, [(cfg, i, s) for i, s in enumerate(grid)])
+    reports = [_metric_point(cfg, i, s, con, pmf, qz, r_loss) for i, s in enumerate(grid)]
     rows = [f"{s!r},{_csv_row(r)}" for s, r in zip(grid, reports)]
     _write_csv(args.out, "snr_db," + _csv_header(MetricReport), rows)
     if args.json_out:
@@ -215,12 +176,16 @@ def cmd_fecscan(args):
         raise ValueError("give either --code-file or --rate/--n, not both")
     con, pmf, comp = _build_format(cfg)
     code = _load_code(cfg)
-    # fail fast on code/format/pmf combos the chain cannot frame
-    transmit(code, con, pmf, 1, composition=comp, mapping=cfg["mapping"],
-             mapping_seed=cfg["mapping_seed"])
     cfg["code_rate"] = code.rate
     grid = _parse_grid(args.snr_db)
-    results = _dispatch(_coded_point, [(cfg, i, s) for i, s in enumerate(grid)])
+    # a code/format/pmf combination the chain cannot frame fails in the
+    # first point's transmitter, before any noise or decoding
+    results = [run_coded_point(
+        code, con, pmf, s, cfg["codewords"],
+        composition=comp, mapping=cfg["mapping"], mapping_seed=cfg["mapping_seed"],
+        seed=cfg["seed"], max_iter=cfg["max_iter"],
+        assumed_snr_db=s + cfg["assumed_snr_offset_db"], scale=cfg["scale"],
+        noise_block_base=i * cfg["codewords"])[0] for i, s in enumerate(grid)]
     _write_csv(args.out, _csv_header(CodedPointResult), [_csv_row(r) for r in results])
     if args.json_out:
         doc = {"schema": FECSCAN_SCHEMA, "config": cfg,

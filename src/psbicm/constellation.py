@@ -185,7 +185,7 @@ def entropy_stats(pmf):
     return EntropyStats(h_b=pmf.entropy, h_bi=h_bi, sum_h_bi=float(h_bi.sum()))
 
 
-def square_qam(m, amplitude_pmf=None, name=None):
+def square_qam(m, amplitude_pmf=None):
     """Gray-labeled square QAM of 2**m points, optionally shaped.
 
     Parameters
@@ -225,8 +225,7 @@ def square_qam(m, amplitude_pmf=None, name=None):
     pam = lev / scale
     points = (pam[:, None] + 1j * pam[None, :]).reshape(-1)  # label = I<<bar_m | Q
 
-    if name is None:
-        name = "qpsk" if m == 2 else f"{1 << m}qam"
+    name = "qpsk" if m == 2 else f"{1 << m}qam"
     con = Constellation(name=name, points=points, bar_m=bar_m, scale=scale,
                         pam_points=pam)
     return con, SymbolPmf(p_dim=pmf_1d, bar_m=bar_m)

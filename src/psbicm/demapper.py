@@ -228,6 +228,10 @@ class LValueTrace:
             raise ValueError("bits must be 0 or 1")
         if not np.isfinite(self.h_b):
             raise ValueError(f"symbol entropy h_b must be finite, got {self.h_b}")
+        for name in ("scale", "scale_opt"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         bad = self.lvalues.size - np.count_nonzero(np.isfinite(self.lvalues))
         if bad:
             raise ValueError(f"{bad} of {self.lvalues.size} L-values are NaN or infinite")
@@ -370,14 +374,17 @@ def read_trace(path):
 
 # --- consistency diagnostics --------------------------------------------
 
+# consistency_check: histogram bins per tributary, and the samples of
+# each bit value a bin needs to enter the fit
+_CONSISTENCY_BINS = 41
+_CONSISTENCY_MIN_COUNT = 1000
+
+
 @dataclass(frozen=True)
 class TributaryConsistency:
     tributary: int
-    centers: np.ndarray
     log_ratio: np.ndarray      # measured ln p(l|B=0)/p(l|B=1) per kept bin
-    expected: np.ndarray       # (s_o/s) * l - prior
-    counts0: np.ndarray
-    counts1: np.ndarray
+    expected: np.ndarray       # (s_o/s) * l - prior, at the kept bin centers
     slope: float
     intercept: float
     coverage: float            # fraction of this tributary's samples in kept bins
@@ -389,15 +396,15 @@ class TributaryConsistency:
         return float(np.max(np.abs(self.log_ratio - self.expected)))
 
 
-def consistency_check(trace, n_bins=41, min_count=1000):
+def consistency_check(trace):
     """Histogram test of the L-value consistency property.
 
     For each tributary, bins the conditional densities of L given the
     transmitted bit and compares ln p(l|B=0)/p(l|B=1) with the straight
     line (s_o/s)*l - L^pr; a matched exact demapper follows it with slope
-    s_o/s = 1.  Bins with fewer than ``min_count`` samples on either side
-    are skipped and reported via ``coverage``.  The slope comes from an
-    inverse-variance weighted least-squares fit.
+    s_o/s = 1.  Bins with fewer than ``_CONSISTENCY_MIN_COUNT`` samples on
+    either side are skipped and reported via ``coverage``.  The slope
+    comes from an inverse-variance weighted least-squares fit.
     """
     ratio = trace.s_ratio
     results = []
@@ -410,12 +417,12 @@ def consistency_check(trace, n_bins=41, min_count=1000):
         lo, hi = np.quantile(l, [0.001, 0.999])
         if hi <= lo:
             continue
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(lo, hi, _CONSISTENCY_BINS + 1)
         c0, _ = np.histogram(l[b == 0], bins=edges)
         c1, _ = np.histogram(l[b == 1], bins=edges)
         n0 = max(int((b == 0).sum()), 1)
         n1 = max(int((b == 1).sum()), 1)
-        keep = (c0 >= min_count) & (c1 >= min_count)
+        keep = (c0 >= _CONSISTENCY_MIN_COUNT) & (c1 >= _CONSISTENCY_MIN_COUNT)
         centers = 0.5 * (edges[:-1] + edges[1:])[keep]
         k0 = c0[keep].astype(float)
         k1 = c1[keep].astype(float)
@@ -431,8 +438,8 @@ def consistency_check(trace, n_bins=41, min_count=1000):
         else:
             slope, intercept = np.nan, np.nan
         results.append(TributaryConsistency(
-            tributary=t, centers=centers, log_ratio=log_ratio, expected=expected,
-            counts0=k0, counts1=k1, slope=float(slope), intercept=float(intercept),
+            tributary=t, log_ratio=log_ratio, expected=expected,
+            slope=float(slope), intercept=float(intercept),
             coverage=float((k0.sum() + k1.sum()) / l.size),
         ))
     return results

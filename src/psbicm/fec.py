@@ -190,22 +190,33 @@ class LdpcCode:
         return h
 
     @classmethod
-    def from_row_lists(cls, rows, n, name="custom"):
-        """Build from an iterable of per-row column-index lists."""
-        rows = [np.sort(np.asarray(r, dtype=np.int64)) for r in rows]
-        sizes = [r.size for r in rows]
-        if 0 in sizes:
-            raise ValueError("every check row needs at least one column")
-        row_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        row_cols = np.concatenate(rows)
-        if row_cols.min() < 0 or row_cols.max() >= n:
+    def from_edges(cls, name, n, n_rows, rows, cols):
+        """Build from (row, column) edge pairs given in any order.
+
+        The edges are sorted once by ``row * n + col``.  An index out of
+        range, a row that lists a column twice and an empty row are
+        rejected.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if np.any(cols < 0) or np.any(cols >= n):
             raise ValueError("column index out of range")
-        return cls(name=name, n=n, k=n - len(rows), row_ptr=row_ptr, row_cols=row_cols)
+        keys = np.sort(rows * n + cols)
+        # with every column in range, a key is in range iff its row is
+        if keys.size and (keys[0] < 0 or keys[-1] >= n_rows * n):
+            raise ValueError("row index out of range")
+        if np.any(np.diff(keys) == 0):
+            raise ValueError("a row lists the same column twice")
+        row_deg = np.bincount(rows, minlength=n_rows)
+        if np.any(row_deg == 0):
+            raise ValueError("every check row needs at least one column")
+        row_ptr = np.concatenate([[0], np.cumsum(row_deg)])
+        return cls(name=name, n=n, k=n - n_rows, row_ptr=row_ptr, row_cols=keys % n)
 
 
 # --- quasi-cyclic IRA construction ---------------------------------------
 
-def _candidate_geometries(n, num, den, z=None):
+def _candidate_geometries(n, num, den):
     """(block cols, block rows, z) candidates, preferred first.
 
     Needs >= 3 block rows for column degree 3 and z >= 8 for shift
@@ -215,13 +226,6 @@ def _candidate_geometries(n, num, den, z=None):
     if n % den:
         raise ValueError(f"n must be divisible by {den} for rate {num}/{den}")
     br_base = den - num
-    if z is not None:
-        if n % (den * z):
-            raise ValueError("n must equal den * f * z for an integer f")
-        f = n // (den * z)
-        if br_base * f < 3:
-            raise ValueError("need at least 3 block rows for column degree 3")
-        return [(den * f, br_base * f, z)]
     out = []
     for f in range(1, n // den + 1):
         if (n // den) % f:
@@ -410,7 +414,7 @@ def _search_layout(bc, br, z, rng, degrees, restarts=8, group_tries=300):
     return None
 
 
-def generate_code(n, rate, seed=0, z=None):
+def generate_code(n, rate, seed=0):
     """Generate a quasi-cyclic IRA code of length n at the given rate.
 
     ``rate`` is one of {1/3, 1/2, 2/3, 3/4, 5/6, 9/10} (string or float).
@@ -436,31 +440,26 @@ def generate_code(n, rate, seed=0, z=None):
     num, den = _RATES[rate]
     rng = np.random.default_rng(seed)
     layout = None
-    for bc, br, zz in _candidate_geometries(n, num, den, z):
+    for bc, br, z in _candidate_geometries(n, num, den):
         degrees = _group_degrees(bc - br, br, num, den)
-        layout = _search_layout(bc, br, zz, rng, degrees)
+        layout = _search_layout(bc, br, z, rng, degrees)
         if layout is not None:
-            z = zz
             break
     if layout is None:
         raise ValueError("could not satisfy girth and weight constraints; "
-                         "try a different n or an explicit z")
+                         "try a different n")
     n_rows = br * z
     k = n - n_rows
 
-    rows = [[] for _ in range(n_rows)]
-    for group, (classes, shifts) in enumerate(layout):
-        base = group * z
-        leg_rows = _leg_rows(classes, shifts, z, br)
-        for c in range(z):
-            for r in leg_rows[c]:
-                rows[int(r)].append(base + c)
-    for j in range(n_rows):                 # accumulator staircase
-        rows[j].append(k + j)
-        if j:
-            rows[j].append(k + j - 1)
+    # bit c of group g sits in column g*z + c, one edge per leg; then the
+    # accumulator staircase: parity column k+j in rows j and j+1
+    legs = [_leg_rows(classes, shifts, z, br) for classes, shifts in layout]
+    info_cols = [np.repeat(g * z + np.arange(z), leg.shape[1]) for g, leg in enumerate(legs)]
+    j = np.arange(n_rows)
+    rows = np.concatenate([leg.ravel() for leg in legs] + [j, j[1:]])
+    cols = np.concatenate(info_cols + [k + j, k + j[:-1]])
     name = f"qcira_n{n}_r{rate.replace('/', '')}_z{z}_s{seed}"
-    return LdpcCode.from_row_lists(rows, n, name=name)
+    return LdpcCode.from_edges(name, n, n_rows, rows, cols)
 
 
 # --- alist I/O -----------------------------------------------------------
@@ -545,20 +544,13 @@ def read_alist(path, name=None):
 
     col_rows, col_of = adjacency(n, max_col, col_deg, "column")
     row_cols, row_of = adjacency(n_rows, max_row, row_deg, "row")
-    row_cols = row_cols - 1
-    if np.any(row_cols < 0) or np.any(row_cols >= n):
-        raise ValueError("column index out of range in alist file")
-    # each edge as row * n + column, once from the row lines and once
-    # from the column lines
-    row_edges = np.sort(row_of * n + row_cols)
-    if np.any(np.diff(row_edges) == 0):
-        raise ValueError("a row of the alist file lists the same column twice")
-    if not np.array_equal(row_edges, np.sort((col_rows - 1) * n + col_of)):
+    code = LdpcCode.from_edges(name, n, n_rows, row_of, row_cols - 1)
+    # each edge as row * n + column: the code's, sorted, against the
+    # column lines'
+    if not np.array_equal(code.edge_row * n + code.row_cols,
+                          np.sort((col_rows - 1) * n + col_of)):
         raise ValueError("alist column lines do not list the edges of the row lines")
-    if np.any(row_deg == 0):
-        raise ValueError("every check row needs at least one column")
-    row_ptr = np.concatenate([[0], np.cumsum(row_deg)])
-    return LdpcCode(name=name, n=n, k=n - n_rows, row_ptr=row_ptr, row_cols=row_edges % n)
+    return code
 
 
 def reference_code():

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constellation import _entropy_bits
 from .demapper import quantize_trace
 
 _LN2 = np.log(2.0)
@@ -289,16 +290,15 @@ class QuantizedAsi:
     asi: float                    # 1 + H(|L_a|) - H(L_a) from the lattice pmf
     asi_mc: float                 # half-step-corrected Monte-Carlo form
     negative_saturation_mass: float
-    lattice: np.ndarray
     pmf: np.ndarray
 
 
-def asi_hist(trace, s_ratio=None, *, la=None):
+def asi_hist(trace, *, la=None):
     """ASI from the empirical pmf of quantized asymmetric L-values.
 
     Requires a quantized trace.  The entropy form 1 + H(|L_a|) - H(L_a)
     needs no scaling knowledge; the companion Monte-Carlo form rescales
-    by the trace's s_o/s (or ``s_ratio``) and applies the half-step
+    by the trace's s_o/s and applies the half-step
     correction cosh(step/2), and agrees closely once the lattice is
     fine.  With two levels the entropy form reduces to one minus the
     binary entropy of the hard-decision error rate.  A warning is raised
@@ -308,16 +308,10 @@ def asi_hist(trace, s_ratio=None, *, la=None):
     q = trace.quantizer
     if q is None:
         raise ValueError("asi_hist needs a quantized trace")
-    if s_ratio is None:
-        s_ratio = trace.s_ratio
+    s_ratio = trace.s_ratio
     la = _asym(trace, la)
     p = np.bincount(q.indices(la), minlength=q.n_levels) / la.size
     half = q.n_levels // 2
-
-    def ent(x):
-        x = x[x > 0]
-        return float(-(x * np.log2(x)).sum())
-
     neg_sat = float(p[0])
     if neg_sat > 1e-3:
         warnings.warn(
@@ -328,10 +322,9 @@ def asi_hist(trace, s_ratio=None, *, la=None):
     corr = np.cosh(q.step * s_ratio / 2.0)
     mc = 1.0 - float(np.mean(np.log2(1.0 + np.exp(-s_ratio * la) * corr)))
     return QuantizedAsi(
-        asi=1.0 + ent(p[half:] + p[half - 1 :: -1]) - ent(p),
+        asi=1.0 + _entropy_bits(p[half:] + p[half - 1 :: -1]) - _entropy_bits(p),
         asi_mc=mc,
         negative_saturation_mass=neg_sat,
-        lattice=q.lattice,
         pmf=p,
     )
 

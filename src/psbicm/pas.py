@@ -183,8 +183,7 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
 
     Returns (CodedPointResult, pooled LValueTrace).  Noise for frame f
     comes from channel substream ``noise_block_base + f``, so points of
-    a sweep can run in any order or in parallel without changing their
-    results.
+    a sweep can run in any order without changing their results.
 
     Each frame is decoded by ``decode(code, lvalues, max_iter, restarts)``:
     flooding sum-product, then, on frames it fails and only if

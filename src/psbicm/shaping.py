@@ -27,20 +27,23 @@ from math import factorial
 
 import numpy as np
 
-from .constellation import gray_pam_levels
+from .constellation import _entropy_bits, gray_pam_levels
+
+# amplitude levels of the one shaped format, 64-QAM (8-PAM)
+_N_AMPLITUDES = 4
 
 
-def mb_amplitude_pmf(nu, n_levels=4):
-    """Maxwell-Boltzmann pmf over odd amplitudes 1, 3, ..., 2*n_levels-1.
+def mb_amplitude_pmf(nu):
+    """Maxwell-Boltzmann pmf over the odd amplitudes 1, 3, 5, 7.
 
     ``p(a) ~ exp(-nu * a^2)``; ``nu = 0`` gives the uniform pmf.
     """
-    a = 2 * np.arange(n_levels) + 1.0
+    a = 2 * np.arange(_N_AMPLITUDES) + 1.0
     w = np.exp(-nu * a**2)
     return w / w.sum()
 
 
-def fit_mb_pmf(h_target_2d, n_levels=4):
+def fit_mb_pmf(h_target_2d):
     """MB pmf whose shaped-QAM entropy H(B) matches ``h_target_2d``.
 
     ``h_target_2d`` counts bits per 2-D symbol including the two uniform
@@ -48,13 +51,11 @@ def fit_mb_pmf(h_target_2d, n_levels=4):
     Solved by bisection on the (monotone) scale parameter.
     """
     h1 = h_target_2d / 2.0 - 1.0
-    if not 0.0 <= h1 <= np.log2(n_levels):
+    if not 0.0 <= h1 <= np.log2(_N_AMPLITUDES):
         raise ValueError(f"target entropy {h_target_2d} out of range")
 
     def h_amp(nu):
-        p = mb_amplitude_pmf(nu, n_levels)
-        p = p[p > 0]
-        return float(-(p * np.log2(p)).sum())
+        return _entropy_bits(mb_amplitude_pmf(nu))
 
     lo, hi = 0.0, 1.0
     while h_amp(hi) > h1:
@@ -65,7 +66,7 @@ def fit_mb_pmf(h_target_2d, n_levels=4):
             lo = mid
         else:
             hi = mid
-    return mb_amplitude_pmf(0.5 * (lo + hi), n_levels)
+    return mb_amplitude_pmf(0.5 * (lo + hi))
 
 
 # shaped 8-PAM operating points: MB pmfs entropy-matched to
@@ -74,13 +75,11 @@ def fit_mb_pmf(h_target_2d, n_levels=4):
 _PRESET_H2D = {"i": 4.124, "ii": 4.604, "iii": 5.226}
 
 
-def amplitude_preset(name, n_levels=4):
+def amplitude_preset(name):
     """Named 1-D amplitude pmfs: 'uniform' or shaped presets 'i'/'ii'/'iii'."""
     if name == "uniform":
-        return np.full(n_levels, 1.0 / n_levels)
+        return np.full(_N_AMPLITUDES, 1.0 / _N_AMPLITUDES)
     if name in _PRESET_H2D:
-        if n_levels != 4:
-            raise ValueError("shaped presets are defined for 4 amplitude levels")
         return fit_mb_pmf(_PRESET_H2D[name])
     raise ValueError(f"unknown amplitude preset {name!r}")
 
@@ -145,13 +144,14 @@ class AmplitudeComposition:
         return {"alphabet": self.alphabet.tolist(), "counts": self.counts.tolist()}
 
 
-def quantize_pmf(target_pmf, n_pam, alphabet=None):
+def quantize_pmf(target_pmf, n_pam):
     """Round a target amplitude pmf to an integer composition of n_pam.
 
     Largest-remainder rounding: floor all scaled probabilities, then hand
     the remaining units to the largest fractional parts (ties broken by
     lower amplitude index).  Deterministic, and exact for pmfs that are
-    already multiples of 1/n_pam.
+    already multiples of 1/n_pam.  The alphabet is the odd amplitudes
+    1, 3, 5, ... in the pmf's order.
     """
     p = np.asarray(target_pmf, dtype=float)
     if np.any(p < 0) or p.sum() <= 0:
@@ -165,9 +165,7 @@ def quantize_pmf(target_pmf, n_pam, alphabet=None):
     # stable argsort on (-remainder) keeps index order among ties
     for i in np.argsort(-rem, kind="stable")[: n_pam - counts.sum()]:
         counts[i] += 1
-    if alphabet is None:
-        alphabet = 2 * np.arange(p.size) + 1
-    return AmplitudeComposition(alphabet=alphabet, counts=counts)
+    return AmplitudeComposition(alphabet=2 * np.arange(p.size) + 1, counts=counts)
 
 
 def _sequence_count_after(c_total, count_j, n_rem):
@@ -257,9 +255,7 @@ def rate_loss(composition):
     ``k_ps/n_pam``, doubled for the two dimensions; nonnegative, shrinking
     as the shaping block length grows.
     """
-    p = composition.pmf
-    p = p[p > 0]
-    h = float(-(p * np.log2(p)).sum())
+    h = _entropy_bits(composition.pmf)
     return 2.0 * (h - composition.k_ps / composition.n_pam)
 
 

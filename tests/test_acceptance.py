@@ -17,7 +17,6 @@ from psbicm import (
     AmplitudeComposition,
     ChannelConfig,
     DemapperConfig,
-    Quantizer,
     amplitude_preset,
     asi_floor,
     asi_hist,

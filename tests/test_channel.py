@@ -60,3 +60,14 @@ def test_empirical_snr_close_to_configured():
 def test_nan_snr_rejected():
     with pytest.raises(ValueError):
         ChannelConfig(snr_db=float("nan"))
+
+
+def test_seed_and_block_id_must_key_philox():
+    # the Philox key is two uint64 words: anything else is a ValueError,
+    # not an OverflowError from rng()
+    for bad in (-1, 1 << 64, True, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ChannelConfig(snr_db=1.0, seed=bad)
+        with pytest.raises(ValueError, match="block_id must be an integer"):
+            ChannelConfig(snr_db=1.0, block_id=bad)
+    ChannelConfig(snr_db=1.0, seed=(1 << 64) - 1, block_id=np.int64(3)).rng()

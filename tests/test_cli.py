@@ -2,12 +2,11 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from psbicm import cli
+from psbicm import cli, pas
 from psbicm.cli import FECSCAN_SCHEMA, METRICS_SCHEMA, _csv_header, _parse_grid, main
-from psbicm.fec import read_alist
+from psbicm.fec import generate_code, read_alist
 from psbicm.metrics import MetricReport
 
 
@@ -56,19 +55,15 @@ def test_sweep_csv_and_json(tmp_path):
     assert sorted(doc["rows"][0]) == sorted(lines[0].split(","))
 
 
-def test_sweep_deterministic_and_worker_invariant(tmp_path, monkeypatch):
+def test_sweep_deterministic(tmp_path):
     outs = []
-    for name, workers in [("a.csv", None), ("b.csv", None), ("c.csv", "2")]:
-        if workers is None:
-            monkeypatch.delenv("PSBICM_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("PSBICM_WORKERS", workers)
+    for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         assert main(["sweep", "--format", "16qam", "--snr-db", "2,6,10",
                      "--symbols-per-block", "10000", "--seed", "9",
                      "--out", str(out)]) == 0
         outs.append(out.read_text())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_sweep_validation_failures(tmp_path):
@@ -78,6 +73,10 @@ def test_sweep_validation_failures(tmp_path):
                  "--pmf-preset", "i", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(base + ["--quantizer-levels", "64"]) == 2
     assert main(["sweep", "--snr-db", ",", "--out", str(tmp_path / "x.csv")]) == 2
+    # the noise streams are keyed by unsigned 64-bit seeds
+    assert main(["sweep", "--format", "qpsk", "--snr-db", "2", "--seed", "-1",
+                 "--symbols-per-block", "10000", "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_fecscan_small_run(tmp_path):
@@ -113,15 +112,32 @@ def test_fecscan_rejects_negative_max_iter(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fecscan_shaped_preset_fails_before_dispatch(tmp_path, monkeypatch):
-    # preset i on the shipped rate-1/2 code has more parity bits than sign
-    # slots (n - k = 504 > n/bar_m = 336); no grid point may start
-    def no_dispatch(fn, configs):
-        raise AssertionError("dispatched an infeasible scan")
+def test_fecscan_builds_the_code_once(tmp_path, monkeypatch):
+    calls = []
 
-    monkeypatch.setattr(cli, "_dispatch", no_dispatch)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_code(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_code", counted)
+    assert main(["fecscan", "--format", "qpsk", "--snr-db", "6,7,8", "--rate", "1/2",
+                 "--n", "96", "--codewords", "2", "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [(96, "1/2")]
+
+
+def test_fecscan_shaped_preset_fails_before_decoding(tmp_path, monkeypatch, capsys):
+    # preset i on the shipped rate-1/2 code has more parity bits than sign
+    # slots (n - k = 504 > n/bar_m = 336): the first point's transmitter
+    # rejects it, before any frame is decoded or any row written
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a frame of an infeasible scan")
+
+    monkeypatch.setattr(pas, "decode", no_decode)
+    out = tmp_path / "x.csv"
     assert main(["fecscan", "--format", "64qam", "--pmf-preset", "i",
-                 "--snr-db", "8", "--out", str(tmp_path / "x.csv")]) == 2
+                 "--snr-db", "8,9", "--out", str(out)]) == 2
+    assert "fewer sign slots than parity bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_matches_sweep_row(tmp_path):

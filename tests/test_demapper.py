@@ -205,7 +205,8 @@ def test_trace_bad_files(tmp_path):
 
 def test_trace_malformed_fields_rejected(tmp_path):
     # each case patches one field of a valid written trace; header layout
-    # "<4sHHQHHddd" puts flags at byte 6, m at byte 16 and h_b at byte 36,
+    # "<4sHHQHHddd" puts flags at byte 6, m at byte 16, scale at byte 20,
+    # scale_opt at byte 28 and h_b at byte 36,
     # records follow the bar_m priors as (bit u1, tributary u1, lvalue f8)
     tr = _small_trace()
     p = tmp_path / "t.lvt"
@@ -220,6 +221,8 @@ def test_trace_malformed_fields_rejected(tmp_path):
         "bits must be 0 or 1": patched(rec0, b"\x02"),
         "positive multiple of": patched(16, struct.pack("<H", 5)),
         "h_b must be finite": patched(36, struct.pack("<d", float("nan"))),
+        "scale must be finite and > 0": patched(20, struct.pack("<d", float("nan"))),
+        "scale_opt must be finite and > 0": patched(28, struct.pack("<d", float("inf"))),
         "trailing bytes": good + b"\0" * 3,
         "unknown trace flags": patched(6, struct.pack("<H", 2)),
     }
@@ -263,7 +266,7 @@ def _qpsk_trace(snr_db, assumed_db, scale=1.0, n=1_000_000, seed=17):
 
 def test_consistency_matched_qpsk():
     tr = _qpsk_trace(3.0, 3.0)
-    res = consistency_check(tr, min_count=1000)
+    res = consistency_check(tr)
     assert res
     for r in res:
         assert r.max_deviation < 0.05
@@ -276,14 +279,14 @@ def test_consistency_snr_mismatch_slope():
     # assumed SNR half the true SNR: log-ratio slope doubles
     tr = _qpsk_trace(6.0, 6.0 - 10 * np.log10(2))
     assert tr.scale_opt == pytest.approx(2.0, rel=1e-12)
-    for r in consistency_check(tr, min_count=1000):
+    for r in consistency_check(tr):
         assert r.slope == pytest.approx(2.0, rel=0.05)
         assert r.max_deviation < 0.1
 
 
 def test_consistency_scale_two_slope():
     tr = _qpsk_trace(6.0, 6.0, scale=2.0)
-    for r in consistency_check(tr, min_count=1000):
+    for r in consistency_check(tr):
         assert r.slope == pytest.approx(0.5, rel=0.05)
 
 

@@ -78,10 +78,16 @@ def gf2_rank(code):
     return len(pivots)
 
 
+def code_from_rows(rows, n, name="custom"):
+    """LdpcCode from per-row column lists."""
+    edges = [(r, c) for r, cols in enumerate(rows) for c in cols]
+    return LdpcCode.from_edges(name, n, len(rows), *zip(*edges))
+
+
 def toy_code():
     """Hand-built n=8, k=4 staircase code for exhaustive checks."""
     rows = [[0, 1, 4], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]]
-    return LdpcCode.from_row_lists(rows, 8, name="toy8")
+    return code_from_rows(rows, 8, name="toy8")
 
 
 def assert_same_decode(a, b):
@@ -207,16 +213,33 @@ def test_generated_code_structure_all_rates():
 
 
 def test_non_staircase_parity_has_no_encoder():
-    # toy_code's parity part with one edge moved, added or duplicated
+    # toy_code's parity part with one edge moved or added; a duplicated
+    # edge is no code at all
     for rows in ([[0, 1, 5], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]],
                  [[0, 1, 4], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 4, 6, 7]],
-                 [[0, 1, 4, 7], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]],
-                 [[0, 1, 4], [1, 2, 4, 5, 5], [2, 3, 5, 6], [3, 0, 6, 7]]):
-        code = LdpcCode.from_row_lists(rows, 8)
+                 [[0, 1, 4, 7], [1, 2, 4, 5], [2, 3, 5, 6], [3, 0, 6, 7]]):
+        code = code_from_rows(rows, 8)
         assert code.encoder is None
         with pytest.raises(ValueError, match="no systematic encoder"):
             encode(code, np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ValueError, match="same column twice"):
+        code_from_rows([[0, 1, 4], [1, 2, 4, 5, 5], [2, 3, 5, 6], [3, 0, 6, 7]], 8)
     assert toy_code().encoder == "staircase"
+
+
+def test_from_edges_sorts_and_rejects():
+    toy = toy_code()
+    rows, cols = toy.edge_row, toy.row_cols
+    order = np.random.default_rng(3).permutation(rows.size)
+    code = LdpcCode.from_edges("toy8", 8, 4, rows[order], cols[order])
+    assert np.array_equal(code.row_ptr, toy.row_ptr)
+    assert np.array_equal(code.row_cols, toy.row_cols)
+    with pytest.raises(ValueError, match="out of range"):
+        LdpcCode.from_edges("x", 8, 4, rows, np.where(cols == 7, 8, cols))
+    with pytest.raises(ValueError, match="out of range"):
+        LdpcCode.from_edges("x", 8, 3, rows, cols)
+    with pytest.raises(ValueError, match="at least one column"):
+        LdpcCode.from_edges("x", 8, 5, rows, cols)
 
 
 def test_generate_code_rejects_bad_geometry():
@@ -253,7 +276,7 @@ def test_batched_encode_equals_per_row_encode():
     # rows 1 and 3 of the hand-built staircase carry no info edge; the
     # last one starts past the end of the info edges
     k = 2
-    gappy = LdpcCode.from_row_lists(
+    gappy = code_from_rows(
         [[0, k], [k, k + 1], [1, k + 1, k + 2], [k + 2, k + 3]], k + 4, name="gappy")
     assert gappy.encoder == "staircase"
     rng = np.random.default_rng(21)

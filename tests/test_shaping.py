@@ -56,7 +56,7 @@ def test_quantize_pmf_largest_remainder():
 
 def test_quantize_pmf_tie_break_deterministic():
     # equal remainders: lower index wins the extra unit
-    comp = quantize_pmf([0.375, 0.375, 0.25], 4, alphabet=[1, 3, 5])
+    comp = quantize_pmf([0.375, 0.375, 0.25], 4)
     assert comp.counts.tolist() == [2, 1, 1]
 
 
@@ -160,7 +160,7 @@ def test_ccdm_example_12_sequences():
 
 
 def test_ccdm_payload_length_check():
-    comp = quantize_pmf([0.5, 0.5], 8, alphabet=[1, 3])
+    comp = quantize_pmf([0.5, 0.5], 8)
     with pytest.raises(ValueError):
         ccdm_encode(np.zeros(comp.k_ps + 1, dtype=np.uint8), comp)
 
