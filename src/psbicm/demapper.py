@@ -62,12 +62,6 @@ class Quantizer:
     def l_max(self):
         return (self.n_levels - 1) * self.step / 2.0
 
-    @property
-    def lattice(self):
-        """All lattice values, ascending."""
-        half = (np.arange(self.n_levels // 2) + 0.5) * self.step
-        return np.concatenate([-half[::-1], half])
-
     def apply(self, lvalues):
         """Round to the nearest lattice point (zero maps to +step/2)."""
         l = np.asarray(lvalues, dtype=float)

@@ -17,7 +17,9 @@ Matrices round-trip through the standard alist text format and the
 package ships one frozen n=1008, rate-1/2 instance for fast studies.
 
 Decoding is flooding-schedule sum-product in the phi domain,
-phi(x) = -ln tanh(x/2) being its own inverse; check magnitudes use
+phi(x) = -ln tanh(x/2) being its own inverse.  The check update carries
+the log-tanh values ln tanh(x/2) = -phi(x), which give the phi-domain
+messages bit for bit without negating them; check magnitudes use
 np.add.reduceat row sums and signs use np.bitwise_xor.reduceat parities,
 with early exit once the hard decisions satisfy every check.  On frames
 that run fails, an optional restart stage (the restart search of
@@ -618,10 +620,13 @@ class DecodeResult:
         return self.codeword[: self.k]
 
 
-def _phi(x):
-    # phi(x) = -ln tanh(x/2), involutive; the floor bounds check
+def _log_tanh(x):
+    # ln tanh(x/2) = -phi(x), in place on x; the floor bounds check
     # magnitudes at phi(1e-12) ~ 28 instead of overflowing at exact zeros
-    return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
+    np.maximum(x, 1e-12, out=x)
+    x *= 0.5
+    np.tanh(x, out=x)
+    return np.log(x, out=x)
 
 
 def _flooding(code, lam, max_iter, unsat=None):
@@ -630,6 +635,12 @@ def _flooding(code, lam, max_iter, unsat=None):
     If ``unsat`` is given, every iteration adds to it, per variable, the
     number of its checks that the iteration's hard decisions leave
     unsatisfied.
+
+    The check update carries lt = ln tanh(|m_vc|/2) = -phi(|m_vc|).
+    Negating every operand of a sum or difference negates its rounded
+    result, so lt minus its row sum is exactly the phi-domain extrinsic
+    sum, and the sign is one multiply by -1 or +1: every message is bit
+    for bit the phi form's.
     """
     starts = code.row_ptr[:-1]
     cols = code.row_cols
@@ -641,9 +652,10 @@ def _flooding(code, lam, max_iter, unsat=None):
     totals = lam
     for it in range(max_iter + 1):
         totals = lam + np.bincount(cols, weights=m_cv, minlength=code.n)
-        hard = (totals < 0).astype(np.uint8)
-        checks = np.bitwise_xor.reduceat(hard[cols], starts)
-        if not checks.any() and np.all(totals != 0):
+        # one gather gives the syndrome and, in place, the messages m_vc
+        m_vc = totals[cols]
+        checks = np.bitwise_xor.reduceat((m_vc < 0).view(np.uint8), starts)
+        if not np.count_nonzero(checks) and np.all(totals != 0):
             iterations, converged = it, True
             break
         if unsat is not None:
@@ -651,13 +663,13 @@ def _flooding(code, lam, max_iter, unsat=None):
         if it == max_iter:
             iterations = max_iter
             break
-        m_vc = totals[cols] - m_cv
-        mag = _phi(np.abs(m_vc))
-        neg = (m_vc < 0).astype(np.uint8)
-        row_mag = np.add.reduceat(mag, starts)
-        row_neg = np.bitwise_xor.reduceat(neg, starts)
-        ext_neg = row_neg[erow] ^ neg
-        m_cv = np.where(ext_neg == 1, -1.0, 1.0) * _phi(row_mag[erow] - mag)
+        m_vc -= m_cv
+        neg = (m_vc < 0).view(np.uint8)
+        lt = _log_tanh(np.abs(m_vc))
+        ext_neg = np.bitwise_xor.reduceat(neg, starts)[erow] ^ neg
+        lt -= np.add.reduceat(lt, starts)[erow]
+        m_cv = _log_tanh(lt)
+        m_cv *= ext_neg * 2.0 - 1.0
 
     return (totals < 0).astype(np.uint8), iterations, converged
 
@@ -710,10 +722,11 @@ def _restart_search(code, lam, hard, unsat, budget, max_iter):
 def decode(code, lvalues, max_iter=50, restarts=0):
     """Sum-product decoding of one codeword, with optional restarts.
 
-    ``lvalues`` follow the positive-means-bit-0 convention.  A first
-    flooding-schedule run stops early once hard decisions satisfy every
-    check with a strictly nonzero total at every position (all-zero
-    inputs are a sum-product fixed point and report non-convergence).
+    ``lvalues`` follow the positive-means-bit-0 convention and must be
+    finite.  A first flooding-schedule run stops early once hard
+    decisions satisfy every check with a strictly nonzero total at every
+    position (all-zero inputs are a sum-product fixed point and report
+    non-convergence).
 
     If that run does not converge and ``restarts`` > 0, the restart
     search of augmented belief propagation (Varnica, Fossorier and
@@ -735,6 +748,9 @@ def decode(code, lvalues, max_iter=50, restarts=0):
     lam = np.asarray(lvalues, dtype=float)
     if lam.shape != (code.n,):
         raise ValueError(f"need n = {code.n} L-values")
+    bad = lam.size - np.count_nonzero(np.isfinite(lam))
+    if bad:
+        raise ValueError(f"{bad} of {lam.size} L-values are NaN or infinite")
     unsat = np.zeros(code.n) if restarts else None
     hard, iterations, converged = _flooding(code, lam, max_iter, unsat)
     runs = 0

@@ -123,7 +123,8 @@ def test_quantizer_examples():
     assert q.apply(100.0) == 3.5
     assert q.apply(-100.0) == -3.5
     assert q.apply(0.0) == 0.5          # zero breaks toward +
-    assert np.allclose(q.lattice, [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
+    assert np.array_equal(q.apply([-3.2, -2.7, -1.5, -0.1, 0.2, 1.9, 2.5, 3.99]),
+                          [-3.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
 
 
 def test_quantizer_symmetry_and_monotonicity():
@@ -135,7 +136,9 @@ def test_quantizer_symmetry_and_monotonicity():
     order = np.argsort(l)
     assert np.all(np.diff(ql[order]) >= 0)
     idx = q.indices(l)
-    assert np.allclose(q.lattice[idx], ql)
+    points = (np.arange(16) - 7.5) * 0.25       # the 16 levels, ascending
+    assert np.array_equal(q.apply(points), points)
+    assert np.array_equal(points[idx], ql)
 
 
 def test_quantizer_validation():

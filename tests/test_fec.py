@@ -8,7 +8,8 @@ from psbicm import ChannelConfig, DemapperConfig, awgn, square_qam
 from psbicm.fec import (
     MAPPING_KINDS,
     LdpcCode,
-    _phi,
+    _flooding,
+    _log_tanh,
     apply_mapping,
     build_mapping,
     decode,
@@ -20,6 +21,7 @@ from psbicm.fec import (
     write_alist,
 )
 from psbicm.pas import frame_lvalues, transmit
+from psbicm.shaping import amplitude_preset, quantize_pmf
 
 
 def reference_bp(rows, lam, max_iter=50):
@@ -56,6 +58,36 @@ def reference_bp(rows, lam, max_iter=50):
                 prod = min(max(prod, -1 + 1e-12), 1 - 1e-12)
                 m_cv[(r, c)] = 2.0 * np.arctanh(prod)
         tot = totals()
+
+
+def reference_flooding(code, lam, max_iter, unsat=None):
+    """Flooding sum-product in the phi form: magnitudes phi(|m_vc|), their
+    row sums, and signs applied through np.where.  ``_flooding`` must
+    match it bit for bit."""
+    def phi(x):
+        return -np.log(np.tanh(np.maximum(x, 1e-12) / 2.0))
+
+    starts = code.row_ptr[:-1]
+    cols = code.row_cols
+    erow = code.edge_row
+    m_cv = np.zeros(cols.size)
+    for it in range(max_iter + 1):
+        totals = lam + np.bincount(cols, weights=m_cv, minlength=code.n)
+        hard = (totals < 0).astype(np.uint8)
+        checks = np.bitwise_xor.reduceat(hard[cols], starts)
+        if not checks.any() and np.all(totals != 0):
+            return hard, it, True
+        if unsat is not None:
+            unsat += np.bincount(cols, weights=checks[erow], minlength=code.n)
+        if it == max_iter:
+            return hard, max_iter, False
+        m_vc = totals[cols] - m_cv
+        mag = phi(np.abs(m_vc))
+        neg = (m_vc < 0).astype(np.uint8)
+        row_mag = np.add.reduceat(mag, starts)
+        row_neg = np.bitwise_xor.reduceat(neg, starts)
+        ext_neg = row_neg[erow] ^ neg
+        m_cv = np.where(ext_neg == 1, -1.0, 1.0) * phi(row_mag[erow] - mag)
 
 
 def parity_checks(code, bits):
@@ -392,12 +424,74 @@ def test_restarts_converge_only_to_codewords():
 
 
 def test_phi_floor_equals_the_clip_form():
-    # check inputs row_mag - mag can round to 0, -0.0 or a tiny negative
+    # check inputs row_mag - mag can round to 0, -0.0 or a tiny negative;
+    # the log-tanh helper is -phi, bit for bit, signed zeros included
     tiny = np.nextafter(0.0, 1.0)
     x = np.array([0.0, -0.0, -tiny, tiny, -1e-300, -1e-17, -2.2e-16, 1e-13,
                   np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0),
                   1e-6, 0.5, 3.0, 40.0, 1e300])
-    assert np.array_equal(_phi(x), -np.log(np.tanh(np.clip(x, 1e-12, None) / 2.0)))
+    phi = -np.log(np.tanh(np.clip(x, 1e-12, None) / 2.0))
+    lt = _log_tanh(x.copy())
+    assert np.array_equal(lt.view(np.uint64), (-phi).view(np.uint64))
+
+
+def _oracle_frames():
+    """(code, L-values, max_iter) cases for the flooding oracle test."""
+    cases = []
+    code = reference_code()
+    con, pmf = square_qam(6)
+    frames = transmit(code, con, pmf, 30, mapping="fs1", seed=3)
+    y = np.stack([awgn(con.points[lab], ChannelConfig(11.0, seed=3, block_id=f))
+                  for f, lab in enumerate(frames.labels)])
+    _, lam = frame_lvalues(y, frames.perms, con, pmf, DemapperConfig(assumed_snr_db=11.0))
+    cases += [(code, row, 60) for row in lam]
+
+    code = generate_code(1008, "2/3")
+    comp = quantize_pmf(amplitude_preset("i"), 1024)
+    con, pmf = square_qam(6, amplitude_pmf=comp.pmf)
+    frames = transmit(code, con, pmf, 20, composition=comp, mapping="r",
+                      mapping_seed=4, seed=4)
+    y = np.stack([awgn(con.points[lab], ChannelConfig(8.0, seed=4, block_id=f))
+                  for f, lab in enumerate(frames.labels)])
+    _, lam = frame_lvalues(y, frames.perms, con, pmf, DemapperConfig(assumed_snr_db=8.0))
+    cases += [(code, row, 200) for row in lam]
+
+    for code in (reference_code(), generate_code(96, "1/2", seed=11)):
+        sign = np.where(np.arange(code.n) % 3 == 0, -1.0, 1.0)
+        for lam in (np.zeros(code.n), np.full(code.n, -0.0), np.full(code.n, 40.0),
+                    np.full(code.n, -40.0), 40.0 * sign, 0.0 * sign):
+            cases += [(code, lam, 7)]
+    return cases
+
+
+def test_flooding_equals_the_phi_domain_loop():
+    # bit for bit under IEEE round-to-nearest, so checked against the phi
+    # form at run time rather than against a stored hash (SIMD tanh and
+    # log differ across CPUs)
+    outcomes = set()
+    for code, lam, max_iter in _oracle_frames():
+        u_new, u_ref = np.zeros(code.n), np.zeros(code.n)
+        hard, it, ok = _flooding(code, lam, max_iter, u_new)
+        ref_hard, ref_it, ref_ok = reference_flooding(code, lam, max_iter, u_ref)
+        assert np.array_equal(hard, ref_hard)
+        assert (it, ok) == (ref_it, ref_ok)
+        assert np.array_equal(u_new, u_ref)
+        if max_iter == 60:
+            outcomes.add(ok)
+    # some of the uniform frames exhaust their 60 iterations, some converge
+    assert outcomes == {True, False}
+
+
+def test_decode_rejects_nonfinite_lvalues():
+    code = reference_code()
+    one_nan, one_inf = np.full(code.n, 5.0), np.full(code.n, 5.0)
+    one_nan[17] = np.nan
+    one_inf[3] = -np.inf
+    for lam, bad in ((np.full(code.n, np.nan), code.n), (one_nan, 1), (one_inf, 1),
+                     (np.full(code.n, np.inf), code.n), (np.full(code.n, -np.inf), code.n)):
+        for restarts in (0, 3):
+            with pytest.raises(ValueError, match=f"{bad} of {code.n} L-values are NaN or infinite"):
+                decode(code, lam, restarts=restarts)
 
 
 def test_restarts_recover_a_frame_flooding_bp_fails():
