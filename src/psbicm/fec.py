@@ -13,8 +13,11 @@ information part of the parity-check matrix is built from shifted-identity
 dual-diagonal accumulator staircase.  The staircase makes the matrix
 provably full rank and gives O(n) encoding; circulant shifts are chosen
 under explicit girth constraints so the Tanner graph has no 4-cycles.
-Matrices round-trip through the standard alist text format and the
-package ships one frozen n=1008, rate-1/2 instance for fast studies.
+The accumulator is a prefix XOR, so a codeword's parities are the XOR of
+its information bits' own prefix parities, and the weight screen on 1-
+and 2-information-bit codewords is popcounts of packed prefix-parity
+rows.  Matrices round-trip through the standard alist text format and
+the package ships one frozen n=1008, rate-1/2 instance for fast studies.
 
 Decoding is flooding-schedule sum-product in the phi domain,
 phi(x) = -ln tanh(x/2) being its own inverse.  The check update carries
@@ -257,51 +260,26 @@ def _leg_rows(classes, shifts, z, q):
     )
 
 
-def _accumulated_weight(rows_sorted, m):
-    """Parity weight of flips at the given sorted check rows.
+def _prefix_parities(legs, m):
+    """Accumulator parities of each bit of a group, packed as uint64 words.
 
-    The accumulator chain toggles at each flipped row, so the parity set
-    covers the alternating intervals [r_0, r_1), [r_2, r_3), ...; an odd
-    flip count leaves the chain set through [r_last, m).
+    The staircase is a prefix XOR: a bit flipping check rows R sets
+    parity j to the parity of |R ∩ [0, j]|.  Column a of the returned
+    (words, z) array is bit a's packed parity row P_a, word-major so that
+    popcounts sum over the leading axis.  By linearity a set of bits has
+    the XOR of its rows as parities, so bit a weighs 1 + popcount(P_a)
+    and the pair (a, b) weighs 2 + popcount(P_a ^ P_b).
     """
-    t = rows_sorted.shape[1]
-    hi = t - 1 if t % 2 else t
-    w = (rows_sorted[:, 1:hi:2] - rows_sorted[:, 0:hi:2]).sum(axis=1)
-    if t % 2:
-        w = w + (m - rows_sorted[:, -1])
-    return w
+    flips = np.zeros((legs.shape[0], m), dtype=np.uint8)
+    np.put_along_axis(flips, legs, 1, axis=1)   # a bit's legs hit distinct rows
+    packed = np.packbits(np.bitwise_xor.accumulate(flips, axis=1), axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
-def _pair_weights(rows_a, rows_b, m):
-    """Codeword weights for every 2-info-bit pairing of rows_a x rows_b.
-
-    Duplicated rows cancel to zero-length intervals automatically.
-    """
-    na, nb = rows_a.shape[0], rows_b.shape[0]
-    merged = np.concatenate(
-        [np.repeat(rows_a, nb, axis=0), np.tile(rows_b, (na, 1))], axis=1
-    )
-    merged.sort(axis=1)
-    return 2 + _accumulated_weight(merged, m)
-
-
-def _group_passes(cand, placed, m, w_floor):
-    """Weight screen for one candidate bit group against placed groups.
-
-    cand holds the sorted check rows of the group's z bits; rejected when
-    any single bit, any pair within the group, or any pair with an
-    already placed bit would give a codeword lighter than w_floor.
-    """
-    if (1 + _accumulated_weight(cand, m)).min() < w_floor:
-        return False
-    i, j = np.triu_indices(cand.shape[0], k=1)
-    merged = np.sort(np.concatenate([cand[i], cand[j]], axis=1), axis=1)
-    if (2 + _accumulated_weight(merged, m)).min() < w_floor:
-        return False
-    for other in placed:
-        if _pair_weights(cand, other, m).min() < w_floor:
-            return False
-    return True
+def _min_weight(parities):
+    """Lightest popcount among the packed rows, summed over the leading axis."""
+    return int(np.bitwise_count(parities).sum(axis=0).min())
 
 
 def _group_degrees(info_groups, q, num, den):
@@ -325,12 +303,19 @@ def _group_degrees(info_groups, q, num, den):
     return [high] * n_high + [3] * (info_groups - n_high)
 
 
-def _pick_classes(q, deg, used, rng, samples=8):
+# layout search: random class combinations compared per group, shift
+# draws per group before the whole layout is redrawn, and whole redraws
+_CLASS_SAMPLES = 8
+_GROUP_TRIES = 300
+_LAYOUT_RESTARTS = 8
+
+
+def _pick_classes(q, deg, used, rng):
     """Class combination for one group, preferring unloaded class pairs."""
     if deg >= q:
         return np.arange(q)
     best = None
-    for _ in range(samples):
+    for _ in range(_CLASS_SAMPLES):
         classes = np.sort(rng.choice(q, size=deg, replace=False))
         load = sum(
             len(used.get((int(classes[a]), int(classes[b])), ()))
@@ -370,11 +355,11 @@ def _pick_shifts(classes, used, z, q, rng):
     return shifts
 
 
-def _search_layout(bc, br, z, rng, degrees, restarts=8, group_tries=300):
+def _search_layout(q, z, rng, degrees):
     """Draw class/shift placements satisfying girth and weight screens.
 
-    Returns a list of (classes, shifts) per information bit group, or
-    None when the geometry cannot be satisfied.  A group's legs sit in
+    Returns the ``_leg_rows`` of each information bit group, or None
+    when the geometry cannot be satisfied.  A group's legs sit in
     distinct residue classes, so no two legs of a group can collide and
     cross-group 4-cycles reduce to repeated in-class shift differences
     per class pair.  Staircase 4-cycles need a bit covering two
@@ -382,36 +367,38 @@ def _search_layout(bc, br, z, rng, degrees, restarts=8, group_tries=300):
     (or u_first = u_last + 1 across the row-index wrap), and are
     excluded the same way.
     """
-    q = br
     m = q * z
     # short parity chains cannot support the 2 + 2q target, so cap by m
     w_floor = max(6, min(2 + 2 * q, m // 12))
-    for _ in range(restarts):
+    i, j = np.triu_indices(z, k=1)
+    for _ in range(_LAYOUT_RESTARTS):
         used = {}                           # (v1, v2) -> set of shift diffs
         layout = []
-        placed_rows = []
+        placed = []                         # prefix parities per placed group
         for deg in degrees:
-            hit = False
-            for _try in range(group_tries):
+            for _try in range(_GROUP_TRIES):
                 classes = _pick_classes(q, deg, used, rng)
                 shifts = _pick_shifts(classes, used, z, q, rng)
                 if shifts is None:
                     continue
-                cand = np.sort(_leg_rows(classes, shifts, z, q), axis=1)
-                if not _group_passes(cand, placed_rows, m, w_floor):
+                legs = _leg_rows(classes, shifts, z, q)
+                par = _prefix_parities(legs, m)
+                # its single bits, pairs within it and pairs with placed bits
+                if (1 + _min_weight(par) < w_floor
+                        or 2 + _min_weight(par[:, i] ^ par[:, j]) < w_floor
+                        or any(2 + _min_weight(par[:, :, None] ^ other[:, None]) < w_floor
+                               for other in placed)):
                     continue
                 for a in range(deg):
                     for b in range(a + 1, deg):
                         pair = (int(classes[a]), int(classes[b]))
                         used.setdefault(pair, set()).add(int((shifts[a] - shifts[b]) % z))
-                layout.append((classes, shifts))
-                placed_rows.append(cand)
-                hit = True
+                layout.append(legs)
+                placed.append(par)
                 break
-            if not hit:
-                layout = None
+            else:                           # no try placed this group: redraw all
                 break
-        if layout is not None:
+        else:
             return layout
     return None
 
@@ -419,10 +406,10 @@ def _search_layout(bc, br, z, rng, degrees, restarts=8, group_tries=300):
 def generate_code(n, rate, seed=0):
     """Generate a quasi-cyclic IRA code of length n at the given rate.
 
-    ``rate`` is one of {1/3, 1/2, 2/3, 3/4, 5/6, 9/10} (string or float).
-    Information bits are organized in groups of Z; each group gets
-    degree-1 legs in distinct row-residue classes mod q (q = rows / Z),
-    so consecutive bits of a group land q rows apart and their parity
+    ``rate`` is one of the strings "1/3", "1/2", "2/3", "3/4", "5/6" and
+    "9/10".  Information bits are organized in groups of Z; each group
+    gets degree-1 legs in distinct row-residue classes mod q (q = rows /
+    Z), so consecutive bits of a group land q rows apart and their parity
     runs through the accumulator stay long.  Group degrees follow a
     rate-dependent irregular profile (most groups at 3, a fraction
     higher) when the geometry has enough classes.  Class/shift draws
@@ -430,24 +417,19 @@ def generate_code(n, rate, seed=0):
     constraints hold (distinct in-class shift differences per class
     pair, no bit covering two consecutive rows) and every 1- and
     2-info-bit codeword clears a weight floor scaled to q, which removes
-    the construction's dominant undetected-error words.
+    the construction's dominant undetected-error words.  The accumulator
+    is a prefix XOR, so these weights are popcounts of each bit's packed
+    prefix parities and of the XOR of two such rows.
     """
-    if not isinstance(rate, str):
-        matches = [s for s, (p, q) in _RATES.items() if abs(rate - p / q) < 1e-9]
-        if not matches:
-            raise ValueError(f"unsupported rate {rate!r}")
-        rate = matches[0]
     if rate not in _RATES:
         raise ValueError(f"unsupported rate {rate!r}")
     num, den = _RATES[rate]
     rng = np.random.default_rng(seed)
-    layout = None
     for bc, br, z in _candidate_geometries(n, num, den):
-        degrees = _group_degrees(bc - br, br, num, den)
-        layout = _search_layout(bc, br, z, rng, degrees)
-        if layout is not None:
+        legs = _search_layout(br, z, rng, _group_degrees(bc - br, br, num, den))
+        if legs is not None:
             break
-    if layout is None:
+    if legs is None:
         raise ValueError("could not satisfy girth and weight constraints; "
                          "try a different n")
     n_rows = br * z
@@ -455,7 +437,6 @@ def generate_code(n, rate, seed=0):
 
     # bit c of group g sits in column g*z + c, one edge per leg; then the
     # accumulator staircase: parity column k+j in rows j and j+1
-    legs = [_leg_rows(classes, shifts, z, br) for classes, shifts in layout]
     info_cols = [np.repeat(g * z + np.arange(z), leg.shape[1]) for g, leg in enumerate(legs)]
     j = np.arange(n_rows)
     rows = np.concatenate([leg.ravel() for leg in legs] + [j, j[1:]])
@@ -472,27 +453,19 @@ def write_alist(code, path):
     Layout: "n_cols n_rows", max degrees, per-column and per-row degree
     lists, then 1-indexed adjacency lines padded with zeros.
     """
-    n, n_rows = code.n, code.n_rows
-    col_lists = [[] for _ in range(n)]
-    for r in range(n_rows):
-        for c in code.row_cols[code.row_ptr[r]:code.row_ptr[r + 1]]:
-            col_lists[c].append(r + 1)
-    row_lists = [
-        (code.row_cols[code.row_ptr[r]:code.row_ptr[r + 1]] + 1).tolist()
-        for r in range(n_rows)
-    ]
-    max_col = max(len(x) for x in col_lists)
-    max_row = max(len(x) for x in row_lists)
-    lines = [
-        f"{n} {n_rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(x)) for x in col_lists),
-        " ".join(str(len(x)) for x in row_lists),
-    ]
-    for x in col_lists:
-        lines.append(" ".join(map(str, x + [0] * (max_col - len(x)))))
-    for x in row_lists:
-        lines.append(" ".join(map(str, x + [0] * (max_row - len(x)))))
+    col_deg, row_deg = code.col_degrees, code.row_degrees
+    # column lines list each column's rows ascending: the edges sorted by
+    # column, then row
+    order = np.lexsort((code.edge_row, code.row_cols))
+    blocks = []
+    for entries, degrees in ((code.edge_row[order] + 1, col_deg),
+                             (code.row_cols + 1, row_deg)):
+        block = np.zeros((degrees.size, degrees.max()), dtype=np.int64)
+        block[np.arange(block.shape[1]) < degrees[:, None]] = entries
+        blocks.append(block)
+    lines = [f"{code.n} {code.n_rows}", f"{col_deg.max()} {row_deg.max()}",
+             " ".join(map(str, col_deg.tolist())), " ".join(map(str, row_deg.tolist()))]
+    lines += [" ".join(map(str, line)) for block in blocks for line in block.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -209,8 +209,6 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
                                            trace.tributaries, trace.bar_m)
             g0 = trace.h_b - (trace.m / cond.size) * float(cond.sum())
             return GmiResult(gmi_bits=g0, scale=s, at_boundary=False)
-    if trace.scale <= 0:
-        raise ValueError("trace scale must be positive to rescale extrinsics")
     # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex, built in place
     prior_a = trace.priors[trace.tributaries - 1]
     np.negative(prior_a, out=prior_a, where=trace.bits != 0)

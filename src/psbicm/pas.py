@@ -65,7 +65,7 @@ class PasFrames:
     payloads: np.ndarray | None
 
 
-def transmit(code, constellation, pmf, n_frames, *, composition=None,
+def transmit(code, constellation, n_frames, *, composition=None,
              mapping="fs1", mapping_seed=0, seed=0):
     """Transmit ``n_frames`` frames from a deterministic source.
 
@@ -199,7 +199,7 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
     cfg = DemapperConfig(assumed_snr_db=assumed_snr_db, scale=scale)
     k = code.k
 
-    frames = transmit(code, constellation, pmf, n_frames, composition=composition,
+    frames = transmit(code, constellation, n_frames, composition=composition,
                       mapping=mapping, mapping_seed=mapping_seed, seed=seed)
     y = np.empty(frames.labels.shape, dtype=complex)
     for f, frame_labels in enumerate(frames.labels):

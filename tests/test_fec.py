@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import re
 from importlib import resources
 
 import numpy as np
@@ -227,10 +229,14 @@ def test_mapping_roundtrip_property():
         apply_mapping(np.zeros(5), build_mapping("fs1", 12, 8, 3))
 
 
+# the 288- and 960-bit layout searches take seconds: build each code once
+pinned_code = functools.cache(generate_code)
+
+
 def test_generated_code_structure_all_rates():
     for rate, n in [("1/3", 144), ("1/2", 96), ("2/3", 144),
                     ("3/4", 192), ("5/6", 288), ("9/10", 960)]:
-        code = generate_code(n, rate, seed=2)
+        code = pinned_code(n, rate, seed=2)
         num, den = map(int, rate.split("/"))
         assert code.n == n and code.k * den == n * num
         assert gf2_rank(code) == code.n_rows       # staircase: full rank
@@ -242,6 +248,48 @@ def test_generated_code_structure_all_rates():
         assert overlap.max() <= 1                  # no 4-cycles
         info = np.random.default_rng(4).integers(0, 2, code.k).astype(np.uint8)
         assert not parity_checks(code, encode(code, info)).any()
+
+
+# sha256(row_ptr.tobytes() + row_cols.tobytes()) per (n, rate, seed): the
+# construction is deterministic, so any change to the layout search or its
+# weight screen shows here
+GENERATED_CODE_DIGESTS = {
+    (1008, "2/3", 0): "fbdd49f3619c8ba5ac4a5f5b43072e8cafa1dcad22ffd2784113fdbf06157ed0",
+    (1008, "1/2", 1): "d1cf3225caf15ba66fa34779ef3f60e0c26d741e398e4a3533651f88f8c3e954",
+    (144, "1/2", 2): "e6a69ba82598ad70fad114c1f67b568d04a91629461f126ec55b336044c4b548",
+    (96, "1/2", 11): "488b6a41c4657cadd7bac780eddfcf869ff0c04a097c2ef73e3ebfe3348b70c5",
+    (144, "2/3", 2): "6ff33a938582c852f5aa139fbf1d2ab4f72ed3f0ac538fa35d6632b3997db2ef",
+    (144, "1/3", 2): "2e0b7c321628df6b11963bb41ab03f89221016032d1536ae13e02a394d28957b",
+    (192, "3/4", 2): "efcf4999b9ee1203f327100d5b6b4c759c08b5e7f5c145ca1f378a714257a152",
+    (288, "5/6", 2): "bf5cc7e72584480f4900c1903c82b3cca146116b598eecb1c9fcd9731090df09",
+    (960, "9/10", 2): "9b0f7c6aecdf2d0443555581e8875e893c5c493884ba63b101676b1bd0e60b7c",
+}
+
+
+def test_generated_codes_match_pinned_digests():
+    for (n, rate, seed), digest in GENERATED_CODE_DIGESTS.items():
+        code = pinned_code(n, rate, seed=seed)
+        data = code.row_ptr.tobytes() + code.row_cols.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (n, rate, seed)
+
+
+def test_generated_codes_clear_the_weight_floor():
+    # every 1- and 2-info-bit codeword weighs at least the construction's
+    # floor max(6, min(2 + 2q, n_rows // 12)), q = n_rows / z; single
+    # codewords come from encode, pairs are XORs of two (encode is linear)
+    for n, rate, seed in GENERATED_CODE_DIGESTS:
+        if n > 288 and rate != "9/10":    # the small codes and the one 9/10 code
+            continue
+        code = pinned_code(n, rate, seed=seed)
+        z = int(re.search(r"_z(\d+)_", code.name).group(1))
+        q = code.n_rows // z
+        floor = max(6, min(2 + 2 * q, code.n_rows // 12))
+        singles = encode(code, np.eye(code.k, dtype=np.uint8))
+        lightest = np.count_nonzero(singles, axis=1).min()
+        for a in range(code.k - 1):
+            pairs = np.count_nonzero(singles[a] ^ singles[a + 1:], axis=1)
+            lightest = min(lightest, pairs.min())
+        assert lightest >= floor, (n, rate, seed, lightest, floor)
 
 
 def test_non_staircase_parity_has_no_encoder():
@@ -440,7 +488,7 @@ def _oracle_frames():
     cases = []
     code = reference_code()
     con, pmf = square_qam(6)
-    frames = transmit(code, con, pmf, 30, mapping="fs1", seed=3)
+    frames = transmit(code, con, 30, mapping="fs1", seed=3)
     y = np.stack([awgn(con.points[lab], ChannelConfig(11.0, seed=3, block_id=f))
                   for f, lab in enumerate(frames.labels)])
     _, lam = frame_lvalues(y, frames.perms, con, pmf, DemapperConfig(assumed_snr_db=11.0))
@@ -449,7 +497,7 @@ def _oracle_frames():
     code = generate_code(1008, "2/3")
     comp = quantize_pmf(amplitude_preset("i"), 1024)
     con, pmf = square_qam(6, amplitude_pmf=comp.pmf)
-    frames = transmit(code, con, pmf, 20, composition=comp, mapping="r",
+    frames = transmit(code, con, 20, composition=comp, mapping="r",
                       mapping_seed=4, seed=4)
     y = np.stack([awgn(con.points[lab], ChannelConfig(8.0, seed=4, block_id=f))
                   for f, lab in enumerate(frames.labels)])
@@ -500,7 +548,7 @@ def test_restarts_recover_a_frame_flooding_bp_fails():
     # search returns the sent codeword
     code = reference_code()
     con, pmf = square_qam(6)
-    frames = transmit(code, con, pmf, 88, mapping="fs1", mapping_seed=7, seed=51)
+    frames = transmit(code, con, 88, mapping="fs1", mapping_seed=7, seed=51)
     codeword = frames.codewords[87]
     y = awgn(con.points[frames.labels[87]], ChannelConfig(12.0, seed=51, block_id=87))
     _, lam = frame_lvalues(y, frames.perms[87], con, pmf, DemapperConfig(assumed_snr_db=12.0))
@@ -553,7 +601,7 @@ def test_reference_code_properties():
     assert gram.max() <= 1
 
 
-def test_reference_code_matches_pinned_file():
+def test_reference_code_matches_pinned_file(tmp_path):
     # the shipped alist is frozen: a changed file changes every study that
     # uses the reference code, so it is pinned byte for byte
     data = resources.files("psbicm").joinpath("data/n1008_r12.alist").read_bytes()
@@ -562,6 +610,9 @@ def test_reference_code_matches_pinned_file():
     code = reference_code()
     assert code.row_ptr.size == code.n_rows + 1 == 505
     assert code.row_cols.size == 3737
+    # and the writer reproduces it
+    write_alist(code, tmp_path / "ref.alist")
+    assert (tmp_path / "ref.alist").read_bytes() == data
 
 
 def test_alist_roundtrip(tmp_path):

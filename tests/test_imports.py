@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it."""
+"""Every imported name is used by the module that imports it, and every
+function parameter by the function that takes it."""
 
 import ast
 from pathlib import Path
@@ -30,4 +31,33 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py"))
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def unused_parameters(source):
+    """``function: parameter`` for each parameter its function never reads,
+    in source order; reads in nested functions count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                  args.kwarg]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}: {a.arg}" for a in params
+                  if a is not None and a.arg not in read]
+    return found
+
+
+def test_unused_parameters_are_found():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + e['x']\n"
+           "def g(x, y):\n    def h():\n        return x\n    return h\n")
+    assert unused_parameters(src) == ["f: b", "f: c", "f: d", "g: y"]
+
+
+def test_no_unused_parameters():
+    found = {p.stem: unused_parameters(p.read_text())
+             for p in sorted((ROOT / "src" / "psbicm").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}

@@ -23,7 +23,7 @@ def shaped_setup():
 
 def test_noiseless_shaped_round_trip():
     con, pmf, comp, code = shaped_setup()
-    frames = transmit(code, con, pmf, 6, composition=comp, mapping="fs2", seed=5)
+    frames = transmit(code, con, 6, composition=comp, mapping="fs2", seed=5)
     cfg = DemapperConfig(assumed_snr_db=15.0)
     sent_amps = []
     for f in range(6):
@@ -174,7 +174,7 @@ def test_staged_chain_equals_per_frame_chain(case):
 def test_batched_frame_lvalues_equal_per_frame_demap():
     con, pmf = square_qam(6)
     code = generate_code(144, "2/3", seed=2)
-    frames = transmit(code, con, pmf, 4, mapping="r", mapping_seed=1, seed=2)
+    frames = transmit(code, con, 4, mapping="r", mapping_seed=1, seed=2)
     cfg = DemapperConfig(assumed_snr_db=9.0, scale=0.8)
     y = np.stack([awgn(con.points[lab], ChannelConfig(10.0, seed=1, block_id=f))
                   for f, lab in enumerate(frames.labels)])
@@ -188,8 +188,8 @@ def test_batched_frame_lvalues_equal_per_frame_demap():
 
 
 def test_frame_structure_shaped():
-    con, pmf, comp, code = shaped_setup()
-    frames = transmit(code, con, pmf, 1, composition=comp, mapping="fs1", seed=1)
+    con, _, comp, code = shaped_setup()
+    frames = transmit(code, con, 1, composition=comp, mapping="fs1", seed=1)
     lev = gray_pam_levels(con.bar_m)
     labels, codeword, amps = frames.labels[0], frames.codewords[0], frames.amplitudes[0]
 
@@ -208,9 +208,9 @@ def test_frame_structure_shaped():
 
 
 def test_matcher_buffering_carries_leftovers():
-    con, pmf, comp, code = shaped_setup()
+    con, _, comp, code = shaped_setup()
     n_frames = 5
-    frames = transmit(code, con, pmf, n_frames, composition=comp, seed=0)
+    frames = transmit(code, con, n_frames, composition=comp, seed=0)
     need = n_frames * (code.n // con.bar_m)
     pulled = len(frames.payloads) * comp.n_pam
     assert pulled >= need and pulled - need < comp.n_pam
@@ -220,21 +220,21 @@ def test_matcher_buffering_carries_leftovers():
 
 
 def test_payload_independent_of_mapping_uniform():
-    con, pmf = square_qam(6)
+    con = square_qam(6)[0]
     code = generate_code(96, "1/2", seed=11)
     frames = {}
     for kind in ("fs1", "fs2", "fu"):
-        frames[kind] = transmit(code, con, pmf, 1, mapping=kind, mapping_seed=3, seed=9)
+        frames[kind] = transmit(code, con, 1, mapping=kind, mapping_seed=3, seed=9)
     assert np.array_equal(frames["fs1"].codewords, frames["fs2"].codewords)
     assert np.array_equal(frames["fs1"].codewords, frames["fu"].codewords)
     assert not np.array_equal(frames["fs1"].labels, frames["fu"].labels)
 
 
 def test_shaped_amplitudes_independent_of_mapping():
-    con, pmf, comp, code = shaped_setup()
+    con, _, comp, code = shaped_setup()
     amps = {}
     for kind in ("fs1", "fs2", "fu"):
-        amps[kind] = transmit(code, con, pmf, 1, composition=comp, mapping=kind,
+        amps[kind] = transmit(code, con, 1, composition=comp, mapping=kind,
                               mapping_seed=3, seed=9).amplitudes
     assert np.array_equal(amps["fs1"], amps["fs2"])
     assert np.array_equal(amps["fs1"], amps["fu"])
@@ -243,31 +243,31 @@ def test_shaped_amplitudes_independent_of_mapping():
 def test_random_mapping_reproducible_per_stream():
     # needs bar_m >= 3: with a single amplitude tributary every lead
     # permutation collapses to the same mapping array
-    con, pmf = square_qam(6)
+    con = square_qam(6)[0]
     code = generate_code(144, "2/3", seed=2)
-    a = transmit(code, con, pmf, 2, mapping="r", mapping_seed=4, seed=1)
-    b = transmit(code, con, pmf, 2, mapping="r", mapping_seed=4, seed=1)
+    a = transmit(code, con, 2, mapping="r", mapping_seed=4, seed=1)
+    b = transmit(code, con, 2, mapping="r", mapping_seed=4, seed=1)
     assert np.array_equal(a.perms, b.perms)
     assert np.array_equal(a.labels, b.labels)
     # fresh draw per frame, and a different mapping seed diverges
     assert not np.array_equal(a.perms[1], a.perms[0])
-    c = transmit(code, con, pmf, 1, mapping="r", mapping_seed=5, seed=1)
+    c = transmit(code, con, 1, mapping="r", mapping_seed=5, seed=1)
     assert not np.array_equal(c.perms[0], a.perms[0])
 
 
 def test_stream_validation():
-    con, pmf, comp, code = shaped_setup()
+    con, _, comp, code = shaped_setup()
     with pytest.raises(ValueError):                   # alphabet size mismatch
-        transmit(code, *square_qam(6), 1, composition=comp)
-    qcon, qpmf = square_qam(2)
+        transmit(code, square_qam(6)[0], 1, composition=comp)
+    qcon = square_qam(2)[0]
     with pytest.raises(ValueError):                   # no amplitude bits on QPSK
-        transmit(code, qcon, qpmf, 1, composition=comp)
+        transmit(code, qcon, 1, composition=comp)
     low = generate_code(144, "1/3", seed=2)
     with pytest.raises(ValueError):                   # parity exceeds sign slots
-        transmit(low, con, pmf, 1, composition=comp)
+        transmit(low, con, 1, composition=comp)
     with pytest.raises(ValueError, match="at least one frame"):
-        transmit(code, con, pmf, 0, composition=comp)
-    transmit(low, con, pmf, 1)                        # fine for uniform signaling
+        transmit(code, con, 0, composition=comp)
+    transmit(low, con, 1)                             # fine for uniform signaling
 
 
 def test_run_coded_point_clean_regime():
