@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -239,9 +239,29 @@ class LValueTrace:
         """Default rescaling s_o/s for the mismatch-corrected estimators."""
         return self.scale_opt / self.scale
 
+    @cached_property
+    def tributary_counts(self):
+        """Read-only positions per tributary, shape (bar_m,), counted once.
+
+        Raises ValueError when a tributary holds no position, since no
+        tributary mean exists then.
+        """
+        counts = np.bincount(self.tributaries, minlength=self.bar_m + 1)[1:]
+        if not counts.all():
+            raise ValueError("trace has empty tributaries")
+        counts.setflags(write=False)
+        return counts
+
     def asymmetric(self):
-        """Asymmetric L-values (-1)^bit * L: positive when the sign is right."""
-        return np.where(self.bits == 0, self.lvalues, -self.lvalues)
+        """Asymmetric L-values (-1)^bit * L: positive when the sign is right.
+
+        A set bit flips the sign bit of L, so the result is exact and equals
+        the negation bit for bit, signed zeros included.
+        """
+        flip = self.bits.astype(np.uint64)
+        flip <<= 63
+        flip ^= np.asarray(self.lvalues, dtype=np.float64).view(np.uint64)
+        return flip.view(np.float64)
 
 
 def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):

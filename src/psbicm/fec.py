@@ -477,10 +477,16 @@ def read_alist(path, name=None):
     """
     text = Path(path).read_text()
     name = name or Path(path).stem
+    # fromstring saturates an out-of-range token of either sign to the
+    # int64 maximum, so both int64 ends count as overflow
+    bad = "alist file holds a token that is not a 64-bit integer"
     try:
-        toks = np.array(text.split(), dtype=np.int64)
-    except (ValueError, OverflowError) as e:
-        raise ValueError(f"alist file holds a token that is not a 64-bit integer: {e}") from e
+        toks = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError as e:
+        raise ValueError(f"{bad}: {e}") from e
+    ends = np.iinfo(np.int64)
+    if toks.size and (toks.max() == ends.max or toks.min() == ends.min):
+        raise ValueError(bad)
     pos = 0
 
     def take(count):

@@ -3,7 +3,7 @@
 All estimators are Monte-Carlo sample means over a trace.  The family is
 built around one scalar function, the soft bit cost
 
-    f(x) = log2(1 + exp(-x)),
+    f(x) = log2(1 + exp(-x)) = (max(-x, 0) + log1p(exp(-|x|))) / ln 2,
 
 evaluated on (rescaled) asymmetric L-values ``l_a = (-1)^bit * L``:
 
@@ -20,7 +20,16 @@ identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
 fixed-scaling GMI = Delta_H) hold exactly on a common trace, not just
 statistically.  Each estimator takes the trace's asymmetric L-values as
 ``la`` when the caller already has them (``trace.asymmetric()``, never
-modified), so a full report builds them once.
+modified), so a full report builds them once; the tributary counts come
+from ``trace.tributary_counts``, counted once per trace.
+
+f is evaluated in the second form above, on numpy's vectorized ``exp``
+and ``log1p``.  These are the branches ``np.logaddexp(0, -x)`` takes, on
+different exp and log1p implementations, and that is this module's one
+stated tolerance: about 3% of values differ from the logaddexp form, by
+at most 3 ulp (4.7e-16 relative).  A value may also differ by an ulp
+across CPU dispatch targets, as ``np.exp`` does everywhere.  The
+identities above stay exact, since both of their sides use the same f.
 
 The scaling optima (the s of the GMI, the s_d of the uncertainty) come
 from one safeguarded Newton search on [1e-3, 1e2] with the closed-form
@@ -45,19 +54,29 @@ SEARCH_XTOL = 1e-4      # an optimum within 2*SEARCH_XTOL of an end is flagged
 
 
 def soft_bit_cost(x):
-    """log2(1 + exp(-x)), overflow/underflow safe for any real x."""
-    return np.logaddexp(0.0, -np.asarray(x, dtype=float)) / _LN2
+    """log2(1 + exp(-x)) as (max(-x, 0) + log1p(exp(-|x|))) / ln 2.
+
+    Overflow/underflow safe for any real x.  The branches of
+    ``np.logaddexp(0, -x) / ln 2`` on vectorized exp and log1p, so each
+    value is within 3 ulp (4.7e-16 relative) of that form.  Keeps the
+    shape; a scalar or 0-d input gives a float64.
+    """
+    x = np.asarray(x, dtype=float)
+    pos = np.negative(x, out=np.empty_like(x))      # -x, then max(-x, 0)
+    out = np.minimum(x, pos, out=np.empty_like(x))  # -|x|
+    np.maximum(pos, 0.0, out=pos)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += pos
+    out /= _LN2
+    return out[()]                                  # a float64 when 0-d
 
 
-def _mean_cost_by_tributary(x_asym, tributaries, bar_m):
+def _mean_cost_by_tributary(x_asym, tributaries, counts):
     # single shared reduction: every estimator that must satisfy an exact
     # cross-identity computes its means through this path
     f = soft_bit_cost(x_asym)
-    sums = np.bincount(tributaries, weights=f, minlength=bar_m + 1)[1:]
-    counts = np.bincount(tributaries, minlength=bar_m + 1)[1:]
-    if np.any(counts == 0):
-        raise ValueError("trace has empty tributaries")
-    return sums / counts
+    return np.bincount(tributaries, weights=f, minlength=counts.size + 1)[1:] / counts
 
 
 def _asym(trace, la):
@@ -69,8 +88,10 @@ def _uncertainty(trace, cond):
     return (trace.m / trace.bar_m) * float(cond.sum())
 
 
-def _minimize_scaling(base, direction, tributaries, bar_m, s0):
+def _minimize_scaling(base, direction, tributaries, counts, s0):
     """Minimize C(s) = sum_i mean_i f(base + s*direction); base None is 0.
+
+    ``counts`` holds the positions per tributary, none of them zero.
 
     Safeguarded Newton on [SEARCH_LO, SEARCH_HI] from ``s0``.  With
     p = 1/(1 + e^x), C' = -sum_i mean_i(p*d)/ln2 and C'' =
@@ -80,9 +101,6 @@ def _minimize_scaling(base, direction, tributaries, bar_m, s0):
     touches the bracket end cannot set off bisection.  Returns
     (s, C(s) from the shared tributary reduction, at_boundary).
     """
-    counts = np.bincount(tributaries, minlength=bar_m + 1)[1:]
-    if np.any(counts == 0):
-        raise ValueError("trace has empty tributaries")
     w1 = (1.0 / counts)[tributaries - 1]    # d/count and d^2/count make the
     w1 *= direction                         # tributary means dot products
     w2 = w1 * direction
@@ -117,14 +135,14 @@ def _minimize_scaling(base, direction, tributaries, bar_m, s0):
     np.multiply(direction, s, out=work)
     if base is not None:
         work += base
-    cost = float(_mean_cost_by_tributary(work, tributaries, bar_m).sum())
+    cost = float(_mean_cost_by_tributary(work, tributaries, counts).sum())
     return s, cost, s - SEARCH_LO < 2 * SEARCH_XTOL or SEARCH_HI - s < 2 * SEARCH_XTOL
 
 
 def pre_fec_ber(trace, *, la=None):
     """Hard-decision bit error rate of sign(L); L = 0 counts half."""
     la = _asym(trace, la)
-    return float(np.mean((la < 0) + 0.5 * (la == 0)))
+    return float(np.count_nonzero(la < 0) + 0.5 * np.count_nonzero(la == 0)) / la.size
 
 
 def asi_mc(trace, s_ratio=None, *, la=None):
@@ -151,7 +169,7 @@ def tributary_conditional_entropies(trace, s_ratio=1.0, *, la=None):
     grouped by tributary; shape (bar_m,).
     """
     return _mean_cost_by_tributary(s_ratio * _asym(trace, la),
-                                   trace.tributaries, trace.bar_m)
+                                   trace.tributaries, trace.tributary_counts)
 
 
 @dataclass(frozen=True)
@@ -189,6 +207,16 @@ class GmiResult:
     at_boundary: bool
 
 
+def _asymmetric_priors(trace):
+    # (-1)^b L^pr: one gather from [0, L^pr, -L^pr] at tributary + bar_m * bit,
+    # indexed in the narrowest type that holds 2 * bar_m (uint8 for real formats)
+    pri = np.asarray(trace.priors, dtype=float)
+    dt = np.result_type(trace.bits, trace.tributaries, np.min_scalar_type(2 * trace.bar_m))
+    idx = np.multiply(trace.bits, trace.bar_m, dtype=dt)
+    idx += trace.tributaries
+    return np.concatenate(([0.0], pri, -pri))[idx]
+
+
 def gmi_from_trace(trace, s="optimize", *, la=None):
     """Generalized mutual information of the trace's auxiliary channel.
 
@@ -206,21 +234,21 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
             raise ValueError("s must be >= 0")
         if s == trace.scale:
             cond = _mean_cost_by_tributary(_asym(trace, la),
-                                           trace.tributaries, trace.bar_m)
+                                           trace.tributaries, trace.tributary_counts)
             g0 = trace.h_b - (trace.m / cond.size) * float(cond.sum())
             return GmiResult(gmi_bits=g0, scale=s, at_boundary=False)
-    # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex, built in place
-    prior_a = trace.priors[trace.tributaries - 1]
-    np.negative(prior_a, out=prior_a, where=trace.bits != 0)
+    # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex
+    prior_a = _asymmetric_priors(trace)
     extr_a = _asym(trace, la) - prior_a
     extr_a /= trace.scale
+    counts = trace.tributary_counts
     boundary = False
     if s == "optimize":
         s, cost, boundary = _minimize_scaling(prior_a, extr_a, trace.tributaries,
-                                              trace.bar_m, trace.scale_opt)
+                                              counts, trace.scale_opt)
     else:
         cost = float(_mean_cost_by_tributary(prior_a + s * extr_a, trace.tributaries,
-                                             trace.bar_m).sum())
+                                             counts).sum())
     return GmiResult(gmi_bits=trace.h_b - (trace.m / trace.bar_m) * cost, scale=s,
                      at_boundary=boundary)
 
@@ -249,7 +277,8 @@ def r_fec_star(trace, s_d="optimize", *, la=None):
     """
     if s_d == "optimize":
         sd, cost, boundary = _minimize_scaling(
-            None, _asym(trace, la), trace.tributaries, trace.bar_m, trace.s_ratio)
+            None, _asym(trace, la), trace.tributaries, trace.tributary_counts,
+            trace.s_ratio)
         u_star = (trace.m / trace.bar_m) * cost
     else:
         if not s_d > 0:

@@ -638,9 +638,12 @@ def test_alist_roundtrip(tmp_path):
     p3.write_text("4 2\n1 1\n")
     with pytest.raises(ValueError):
         read_alist(p3)
-    p3.write_text("4 99999999999999999999\n1 1\n")
-    with pytest.raises(ValueError, match="64-bit integer"):
-        read_alist(p3)
+    for bad in ("4 99999999999999999999\n1 1\n", "4 -99999999999999999999\n1 1\n",
+                "4 9223372036854775807\n1 1\n", "4 -9223372036854775808\n1 1\n",
+                "4 2\n1.5 1\n"):
+        p3.write_text(bad)
+        with pytest.raises(ValueError, match="64-bit integer"):
+            read_alist(p3)
     # row 1 lists no column
     p3.write_text("2 2\n1 2\n1 1\n2 0\n1\n1\n1 2\n")
     with pytest.raises(ValueError, match="at least one column"):

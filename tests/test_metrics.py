@@ -3,13 +3,23 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from psbicm import metrics as metrics_module
 from psbicm.channel import ChannelConfig, awgn
 from psbicm.constellation import draw_labels, square_qam
-from psbicm.demapper import DemapperConfig, Quantizer, default_quantizer, demap_to_trace, quantize_trace
+from psbicm.demapper import (
+    DemapperConfig,
+    LValueTrace,
+    Quantizer,
+    default_quantizer,
+    demap_to_trace,
+    make_trace,
+    quantize_trace,
+)
 from psbicm.metrics import (
     SEARCH_HI,
     SEARCH_LO,
     MetricReport,
+    _asymmetric_priors,
     _minimize_scaling,
     asi_floor,
     asi_hist,
@@ -54,13 +64,38 @@ def test_soft_bit_cost_limits():
     out = soft_bit_cost(np.array([[0.0, 1.0], [-1.0, 3.0]]))
     assert out.shape == (2, 2)
     assert out[0, 1] == pytest.approx(np.log2(1 + np.exp(-1.0)), rel=1e-14)
+    for scalar in (0.5, np.float64(0.5), np.array(0.5), 1):
+        assert type(soft_bit_cost(scalar)) is np.float64
+    assert soft_bit_cost([1.0, 2.0, 3.0]).shape == (3,)
+    assert soft_bit_cost(np.zeros((0, 4))).shape == (0, 4)
+
+
+def test_soft_bit_cost_against_logaddexp_form():
+    # the max/log1p form takes logaddexp's branches on vectorized exp and
+    # log1p.  Each differs from libm by up to 1 ulp, so ln(1 + e^-|x|) can
+    # differ by 2 ulp, and the quotient by ln 2 by 3 ulp of f (4.6e-16
+    # relative at most, in 4M normals); denormal results by 1e-300 absolute
+    edges = np.array([0.0, 5e-324, 1e-300, 1e-8, 36.7, 709.0, 745.0, 800.0,
+                      2000.0, 1e308, np.inf])
+    rng = np.random.default_rng(0)
+    x = np.concatenate((edges, -edges, 10.0 * rng.standard_normal(10**5)))
+    ref = np.logaddexp(0.0, -x) / np.log(2)
+    got = soft_bit_cost(x)
+    with np.errstate(invalid="ignore"):             # inf - inf at x = -inf
+        err = np.abs(got - ref)
+    assert np.all((got == ref) | (err <= np.maximum(3 * np.spacing(ref), 1e-300)))
+    normal = (ref > 1e-300) & (ref < np.inf)
+    assert np.max(err[normal] / ref[normal]) <= 4.7e-16
+    assert got[x == np.inf].tolist() == [0.0] and got[x == -np.inf].tolist() == [np.inf]
+    assert soft_bit_cost(0.0) == soft_bit_cost(-0.0) == 1.0
 
 
 def test_scaling_search_interior_and_boundary():
     # one tributary of nine +1 and one -1: C(s) = 0.9 f(s) + 0.1 f(-s) has
     # its minimum where e^s = 9
     d = np.array([1.0] * 9 + [-1.0])
-    x, fx, at_boundary = _minimize_scaling(None, d, np.ones(10, np.uint8), 1, s0=1.0)
+    x, fx, at_boundary = _minimize_scaling(None, d, np.ones(10, np.uint8),
+                                           np.array([10]), s0=1.0)
     assert x == pytest.approx(np.log(9.0), abs=1e-9)
     assert fx == pytest.approx(0.9 * soft_bit_cost(np.log(9.0))
                                + 0.1 * soft_bit_cost(-np.log(9.0)), abs=1e-14)
@@ -71,7 +106,8 @@ def test_scaling_search_interior_and_boundary():
     base = rng.normal(0.5, 1.0, 4000)
     d = rng.normal(1.0, 2.0, 4000)
     tribs = np.tile([1, 2], 2000).astype(np.uint8)
-    x, fx, at_boundary = _minimize_scaling(base, d, tribs, 2, s0=50.0)
+    counts = np.array([2000, 2000])
+    x, fx, at_boundary = _minimize_scaling(base, d, tribs, counts, s0=50.0)
 
     def cost(s):
         f = soft_bit_cost(base + s * d)
@@ -82,21 +118,67 @@ def test_scaling_search_interior_and_boundary():
     assert fx <= min(cost(x * (1 - 1e-6)), cost(x * (1 + 1e-6)))
 
     # every sign right: C falls for ever and the search stops at the top
-    x, _, at_boundary = _minimize_scaling(None, np.abs(d) + 0.1, tribs, 2, s0=1.0)
+    x, _, at_boundary = _minimize_scaling(None, np.abs(d) + 0.1, tribs, counts, s0=1.0)
     assert at_boundary and x == pytest.approx(SEARCH_HI, rel=1e-9)
     # every extrinsic sign wrong: C rises from s = 0 and the search stops at the bottom
     x, _, at_boundary = _minimize_scaling(np.full(4000, 2.0), -np.abs(d) - 0.1,
-                                          tribs, 2, s0=1.0)
+                                          tribs, counts, s0=1.0)
     assert at_boundary and x == pytest.approx(SEARCH_LO, abs=1e-9)
 
-    with pytest.raises(ValueError, match="empty tributaries"):
-        _minimize_scaling(None, d, np.ones(4000, np.uint8), 2, s0=1.0)
+
+def test_tributary_counts_once_per_trace():
+    tr = simulate_trace(6, 12.0, 1_000, seed=7)
+    assert tr.tributary_counts.tolist() == [2000, 2000, 2000]
+    assert tr.tributary_counts is tr.tributary_counts
+    assert not tr.tributary_counts.flags.writeable
+    # every position on tributary 1 of 2: no estimator has a mean to take
+    empty = LValueTrace(bits=np.zeros(4, np.uint8), lvalues=np.ones(4),
+                        tributaries=np.ones(4, np.uint8), m=2, bar_m=2, scale=1.0,
+                        scale_opt=1.0, priors=np.zeros(2), h_b=2.0)
+    for estimator in (compute_report, asi_mc, gmi_from_trace, r_fec_star,
+                      tributary_conditional_entropies):
+        with pytest.raises(ValueError, match="empty tributaries"):
+            estimator(empty)
+
+
+def test_asymmetric_values_and_priors_are_the_negations_bit_for_bit():
+    # both sign flips equal the np.where and masked-negation forms bit for
+    # bit, on a trace that holds both signed zeros under both bit values
+    tr = simulate_trace(6, 9.0, 2_000, seed=13, amplitude_pmf=PAS_II)
+    bits, lv = tr.bits.copy(), tr.lvalues.copy()
+    bits[:24] = np.tile([0, 0, 1, 1], 6)
+    lv[:24] = np.tile([0.0, -0.0], 12)
+    tr = LValueTrace(bits=bits, lvalues=lv, tributaries=tr.tributaries, m=tr.m,
+                     bar_m=tr.bar_m, scale=tr.scale, scale_opt=tr.scale_opt,
+                     priors=tr.priors, h_b=tr.h_b)
+    where_la = np.where(tr.bits == 0, tr.lvalues, -tr.lvalues)
+    assert np.array_equal(tr.asymmetric().view(np.uint64), where_la.view(np.uint64))
+    masked_pri = tr.priors[tr.tributaries - 1]
+    np.negative(masked_pri, out=masked_pri, where=tr.bits != 0)
+    assert np.array_equal(_asymmetric_priors(tr).view(np.uint64),
+                          masked_pri.view(np.uint64))
+
+
+def test_report_cost_passes(monkeypatch):
+    # a matched report shares one cost pass between the ASI and the
+    # conditional entropies: 3 passes; at s_o/s != 1 the rescaled ASI adds one
+    passes = []
+    cost = metrics_module.soft_bit_cost
+
+    def counting_cost(x):
+        passes.append(np.size(x))
+        return cost(x)
+
+    monkeypatch.setattr(metrics_module, "soft_bit_cost", counting_cost)
+    for assumed_db, expected in ((12.0, 3), (9.0, 4)):
+        passes.clear()
+        tr = simulate_trace(6, 12.0, 1_000, seed=19, assumed_snr_db=assumed_db)
+        compute_report(tr, r_c=0.5)
+        assert passes == [tr.n] * expected
 
 
 def test_pre_fec_ber_hand_built():
     con, pmf = square_qam(2)
-    from psbicm.demapper import make_trace
-
     bits = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     lvals = np.array([[1.0, -1.0], [1.0, -2.0]])
     tr = make_trace(bits, lvals, pmf)
@@ -104,6 +186,23 @@ def test_pre_fec_ber_hand_built():
     tr0 = make_trace(np.array([[0, 1]], dtype=np.uint8), np.array([[0.0, 0.5]]), pmf)
     # zero L-value counts half an error; the L=+0.5 on bit 1 is a full error
     assert pre_fec_ber(tr0) == 0.75
+    # so does a negative zero, under either bit value
+    trz = make_trace(np.array([[0, 1], [1, 0]], dtype=np.uint8),
+                     np.array([[-0.0, -0.0], [0.0, 2.0]]), pmf)
+    assert pre_fec_ber(trz) == 0.375
+
+
+def test_pre_fec_ber_counts_equal_the_mean_form():
+    # a sum of values in {0, 1/2, 1} is exact, so counting is bit for bit
+    _, pmf = square_qam(2)
+    rng = np.random.default_rng(3)
+    lv = rng.integers(-2, 3, (500_001, 2)) * 0.75
+    lv[rng.random(lv.shape) < 0.1] = -0.0
+    tr = make_trace(rng.integers(0, 2, lv.shape, dtype=np.uint8), lv, pmf)
+    la = tr.asymmetric()
+    assert np.count_nonzero(la == 0) > 100_000
+    ref = np.mean((la < 0) + 0.5 * (la == 0))
+    assert np.array(pre_fec_ber(tr)).view(np.uint64) == np.array(ref).view(np.uint64)
 
 
 def test_asi_equals_pooled_mean():
