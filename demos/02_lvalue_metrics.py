@@ -78,7 +78,7 @@ for n_levels in (2 ** 11, 2 ** 6, 2 ** 4, 2):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         qa = asi_hist(quantize_trace(trace, default_quantizer(trace, n_levels)))
-    print(f"  n_L = {n_levels:4d}: histogram ASI {qa.asi:.5f}")
+    print(f"  n_L = {n_levels:4d}: histogram ASI {qa:.5f}")
 print(f"  unquantized ASI {asi_mc(trace):.5f}")
 
 # --- the low-SNR floor of shaped signaling ------------------------------

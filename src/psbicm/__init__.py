@@ -50,11 +50,9 @@ from .metrics import (
     asi_hist,
     asi_floor,
     tributary_conditional_entropies,
-    bmd_rate,
     gmi_from_trace,
     ngmi,
     r_fec_star,
-    rate_accounting,
 )
 from .fec import (
     build_mapping,

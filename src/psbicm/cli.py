@@ -119,22 +119,21 @@ def _csv_row(result):
                     for v in _json_row(result).values())
 
 
-def _write_csv(path, header, rows):
-    text = "\n".join([header] + rows) + "\n"
+def _write_text(path, text):
+    """Write text to the file at ``path``, or to stdout when it is '-'."""
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_csv(path, header, rows):
+    _write_text(path, "\n".join([header] + rows) + "\n")
 
 
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _echo_config(args, keys):

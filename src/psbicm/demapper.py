@@ -325,20 +325,20 @@ def default_quantizer(trace, n_levels):
 _MAGIC = b"LVTR"
 _VERSION = 1
 _REC_DTYPE = np.dtype([("bit", "u1"), ("trib", "u1"), ("lvalue", "<f8")])
+# magic, version, flags, n, m, bar_m, scale, scale_opt, h_b
+_HEAD = struct.Struct("<4sHHQHHddd")
+_QUANT = struct.Struct("<Id")         # n_levels, step; present when flags & 1
 
 
 def write_trace(path, trace):
     """Write the binary trace format (little-endian, magic 'LVTR')."""
     flags = 1 if trace.quantizer is not None else 0
-    head = struct.pack(
-        "<4sHHQHHddd",
-        _MAGIC, _VERSION, flags, trace.n, trace.m, trace.bar_m,
-        trace.scale, trace.scale_opt, trace.h_b,
-    )
+    head = _HEAD.pack(_MAGIC, _VERSION, flags, trace.n, trace.m, trace.bar_m,
+                      trace.scale, trace.scale_opt, trace.h_b)
     pri = np.asarray(trace.priors, dtype="<f8").tobytes()
     q = b""
     if trace.quantizer is not None:
-        q = struct.pack("<Id", trace.quantizer.n_levels, trace.quantizer.step)
+        q = _QUANT.pack(trace.quantizer.n_levels, trace.quantizer.step)
     rec = np.empty(trace.n, dtype=_REC_DTYPE)
     rec["bit"] = trace.bits
     rec["trib"] = trace.tributaries
@@ -356,27 +356,23 @@ def read_trace(path):
     """
     with open(path, "rb") as f:
         data = f.read()
-    head_fmt = "<4sHHQHHddd"
-    head_size = struct.calcsize(head_fmt)
-    if len(data) < head_size or data[:4] != _MAGIC:
+    if len(data) < _HEAD.size or data[:4] != _MAGIC:
         raise ValueError("not an L-value trace file (bad magic)")
-    magic, version, flags, n, m, bar_m, scale, scale_opt, h_b = struct.unpack(
-        head_fmt, data[:head_size]
-    )
+    magic, version, flags, n, m, bar_m, scale, scale_opt, h_b = _HEAD.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported trace version {version}")
     if flags & ~1:
         raise ValueError(f"unknown trace flags {flags:#x}")
-    off = head_size + 8 * bar_m + (struct.calcsize("<Id") if flags & 1 else 0)
+    off = _HEAD.size + 8 * bar_m + (_QUANT.size if flags & 1 else 0)
     size = off + n * _REC_DTYPE.itemsize
     if len(data) < size:
         raise ValueError("trace file truncated")
     if len(data) > size:
         raise ValueError(f"{len(data) - size} trailing bytes after the last trace record")
-    priors = np.frombuffer(data, dtype="<f8", count=bar_m, offset=head_size).copy()
+    priors = np.frombuffer(data, dtype="<f8", count=bar_m, offset=_HEAD.size).copy()
     quantizer = None
     if flags & 1:
-        n_levels, step = struct.unpack_from("<Id", data, head_size + 8 * bar_m)
+        n_levels, step = _QUANT.unpack_from(data, _HEAD.size + 8 * bar_m)
         quantizer = Quantizer(n_levels=n_levels, step=step)
     rec = np.frombuffer(data, dtype=_REC_DTYPE, count=n, offset=off)
     return LValueTrace(
@@ -402,12 +398,6 @@ class TributaryConsistency:
     slope: float
     intercept: float
     coverage: float            # fraction of this tributary's samples in kept bins
-
-    @property
-    def max_deviation(self):
-        if self.log_ratio.size == 0:
-            return np.nan
-        return float(np.max(np.abs(self.log_ratio - self.expected)))
 
 
 def consistency_check(trace):

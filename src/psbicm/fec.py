@@ -189,11 +189,6 @@ class LdpcCode:
             return "staircase"
         return None
 
-    def to_dense(self):
-        h = np.zeros((self.n_rows, self.n), dtype=np.uint8)
-        h[self.edge_row, self.row_cols] = 1
-        return h
-
     @classmethod
     def from_edges(cls, name, n, n_rows, rows, cols):
         """Build from (row, column) edge pairs given in any order.

@@ -13,7 +13,14 @@ evaluated on (rescaled) asymmetric L-values ``l_a = (-1)^bit * L``:
   U(s_d), giving the achievable FEC code rate [1 - U*/m]^+;
 * subtracting the summed conditional entropies from H(B) gives the
   bit-metric-decoding rate Delta_H, which coincides with the GMI of the
-  bitwise auxiliary channel when evaluated at the trace's own scaling.
+  bitwise auxiliary channel when evaluated at the trace's own scaling;
+* on a quantized trace, ``asi_hist`` gives the ASI in its entropy form
+  1 + H(|L_a|) - H(L_a), from the lattice pmf alone.
+
+``compute_report`` evaluates the family on one trace into one
+``MetricReport``.  Delta_H and the fields derived from it (BMD rate,
+net BMD rate, normalized AIR, information rate, code-rate bound) are
+closed forms computed in the report itself.
 
 All of these route through one reduction helper, so the algebraic
 identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
@@ -173,34 +180,6 @@ def tributary_conditional_entropies(trace, s_ratio=1.0, *, la=None):
 
 
 @dataclass(frozen=True)
-class BmdResult:
-    """Bit-metric-decoding rate family, bits per 2-D symbol."""
-
-    delta_h: float          # H(B) - sum_i H(B_i|Y), no clipping
-    r_bmd: float            # [delta_h]^+
-    r_bmd_net: float        # delta_h - shaping rate loss
-    normalized_air: float   # r_bmd / H(B)
-
-
-def bmd_rate(cond_entropies, h_b, m, r_loss=0.0):
-    """Combine conditional-entropy estimates into the BMD rate family.
-
-    ``cond_entropies`` holds one value per tributary; each tributary
-    covers m/bar_m label positions, so the summed conditional entropy is
-    scaled accordingly before subtracting from the symbol entropy h_b.
-    """
-    cond = np.asarray(cond_entropies, dtype=float)
-    delta_h = h_b - (m / cond.size) * float(cond.sum())
-    r_bmd = max(delta_h, 0.0)
-    return BmdResult(
-        delta_h=delta_h,
-        r_bmd=r_bmd,
-        r_bmd_net=delta_h - r_loss,
-        normalized_air=r_bmd / h_b if h_b > 0 else 0.0,
-    )
-
-
-@dataclass(frozen=True)
 class GmiResult:
     gmi_bits: float
     scale: float            # extrinsic scaling s achieving the reported GMI
@@ -233,10 +212,9 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
         if s < 0:
             raise ValueError("s must be >= 0")
         if s == trace.scale:
-            cond = _mean_cost_by_tributary(_asym(trace, la),
-                                           trace.tributaries, trace.tributary_counts)
-            g0 = trace.h_b - (trace.m / cond.size) * float(cond.sum())
-            return GmiResult(gmi_bits=g0, scale=s, at_boundary=False)
+            cond = tributary_conditional_entropies(trace, la=la)
+            return GmiResult(gmi_bits=trace.h_b - _uncertainty(trace, cond), scale=s,
+                             at_boundary=False)
     # asymmetric prior (-1)^b L^pr and extrinsic (-1)^b L^ex
     prior_a = _asymmetric_priors(trace)
     extr_a = _asym(trace, la) - prior_a
@@ -310,68 +288,29 @@ def asi_floor(pmf):
     return 1.0 - total / tm.shape[0]
 
 
-@dataclass(frozen=True)
-class QuantizedAsi:
-    """Entropy-based ASI of a quantized trace plus its MC cross-check."""
-
-    asi: float                    # 1 + H(|L_a|) - H(L_a) from the lattice pmf
-    asi_mc: float                 # half-step-corrected Monte-Carlo form
-    negative_saturation_mass: float
-    pmf: np.ndarray
-
-
 def asi_hist(trace, *, la=None):
     """ASI from the empirical pmf of quantized asymmetric L-values.
 
     Requires a quantized trace.  The entropy form 1 + H(|L_a|) - H(L_a)
-    needs no scaling knowledge; the companion Monte-Carlo form rescales
-    by the trace's s_o/s and applies the half-step
-    correction cosh(step/2), and agrees closely once the lattice is
-    fine.  With two levels the entropy form reduces to one minus the
-    binary entropy of the hard-decision error rate.  A warning is raised
-    when the wrong-sign saturation bin holds more than 1e-3 probability
-    (the lattice is then too coarse or too narrow to be trusted).
+    of the lattice pmf needs no scaling knowledge; with two levels it
+    reduces to one minus the binary entropy of the hard-decision error
+    rate.  A warning is raised when the wrong-sign saturation bin holds
+    more than 1e-3 probability (the lattice is then too coarse or too
+    narrow to be trusted).
     """
     q = trace.quantizer
     if q is None:
         raise ValueError("asi_hist needs a quantized trace")
-    s_ratio = trace.s_ratio
     la = _asym(trace, la)
     p = np.bincount(q.indices(la), minlength=q.n_levels) / la.size
     half = q.n_levels // 2
-    neg_sat = float(p[0])
-    if neg_sat > 1e-3:
+    if p[0] > 1e-3:
         warnings.warn(
-            f"wrong-sign saturation mass {neg_sat:.2e} > 1e-3; "
+            f"wrong-sign saturation mass {p[0]:.2e} > 1e-3; "
             "quantized ASI is unreliable at this lattice",
             stacklevel=2,
         )
-    corr = np.cosh(q.step * s_ratio / 2.0)
-    mc = 1.0 - float(np.mean(np.log2(1.0 + np.exp(-s_ratio * la) * corr)))
-    return QuantizedAsi(
-        asi=1.0 + _entropy_bits(p[half:] + p[half - 1 :: -1]) - _entropy_bits(p),
-        asi_mc=mc,
-        negative_saturation_mass=neg_sat,
-        pmf=p,
-    )
-
-
-@dataclass(frozen=True)
-class RateAccounting:
-    info_rate: float        # H(B) - R_loss - (1 - R_c)*m, bits per 2-D
-    code_rate_bound: float  # smallest workable R_c given the channel
-
-
-def rate_accounting(h_b, r_loss, r_c, m, r_bmd_net):
-    """Net information rate and the code-rate bound it implies.
-
-    ``info_rate`` charges the FEC redundancy and shaping rate loss
-    against the symbol entropy; ``code_rate_bound`` is the code rate at
-    which the info rate would just reach the net BMD rate.
-    """
-    info = h_b - r_loss - (1.0 - r_c) * m
-    bound = 1.0 - (h_b - r_loss - r_bmd_net) / m
-    return RateAccounting(info_rate=info, code_rate_bound=bound)
+    return 1.0 + _entropy_bits(p[half:] + p[half - 1 :: -1]) - _entropy_bits(p)
 
 
 # --- aggregated report ---------------------------------------------------
@@ -408,44 +347,54 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
     """Evaluate the full metric family on one trace.
 
     ``quantizer`` adds the histogram ASI (applied to a copy if the trace
-    is not already on that lattice); ``r_c`` enables the rate accounting.
+    is not already on that lattice).  A code rate ``r_c`` in (0, 1] adds
+    the rate accounting: the net information rate
+    H(B) - R_loss - (1 - r_c)*m, and the code rate at which it would just
+    reach the net BMD rate.  ``r_loss`` >= 0 is the shaping rate loss.
     The asymmetric L-values are built once and passed to every estimator.
     """
+    if r_c is not None and not 0.0 < r_c <= 1.0:
+        raise ValueError(f"code rate must be in (0, 1], got {r_c!r}")
+    if not 0.0 <= r_loss < np.inf:
+        raise ValueError(f"rate loss must be finite and >= 0, got {r_loss!r}")
+    h_b, m = trace.h_b, trace.m
     la = trace.asymmetric()
     g = gmi_from_trace(trace, s="optimize", la=la)
     cond = tributary_conditional_entropies(trace, s_ratio=1.0, la=la)
-    bmd = bmd_rate(cond, trace.h_b, trace.m, r_loss=r_loss)
+    u = _uncertainty(trace, cond)
+    delta_h = h_b - u                           # = GMI at the trace's own s
+    bmd_rate = max(delta_h, 0.0)
+    bmd_rate_net = delta_h - r_loss
     rf = r_fec_star(trace, s_d="optimize", la=la)
     # at s_o/s = 1 asi_mc would repeat the cost pass of cond
-    asi = (1.0 - _uncertainty(trace, cond) / trace.m if trace.s_ratio == 1.0
-           else asi_mc(trace, la=la))
+    asi = 1.0 - u / m if trace.s_ratio == 1.0 else asi_mc(trace, la=la)
     if quantizer is not None and trace.quantizer != quantizer:
-        asi_q = asi_hist(quantize_trace(trace, quantizer)).asi
+        asi_q = asi_hist(quantize_trace(trace, quantizer))
     elif quantizer is not None or trace.quantizer is not None:
-        asi_q = asi_hist(trace, la=la).asi
+        asi_q = asi_hist(trace, la=la)
     else:
         asi_q = float("nan")
-    if r_c is not None:
-        acc = rate_accounting(trace.h_b, r_loss, r_c, trace.m, bmd.r_bmd_net)
-        info_rate, bound = acc.info_rate, acc.code_rate_bound
+    if r_c is None:
+        info_rate = code_rate_bound = float("nan")
     else:
-        info_rate, bound = float("nan"), float("nan")
+        info_rate = h_b - r_loss - (1.0 - r_c) * m
+        code_rate_bound = 1.0 - (h_b - r_loss - bmd_rate_net) / m
     return MetricReport(
         pre_fec_ber=pre_fec_ber(trace, la=la),
         gmi_bits=g.gmi_bits,
         gmi_scale=g.scale,
-        ngmi=ngmi(g.gmi_bits, trace.h_b, trace.m),
-        delta_h=bmd.delta_h,
-        bmd_rate=bmd.r_bmd,
-        bmd_rate_net=bmd.r_bmd_net,
-        normalized_air=bmd.normalized_air,
+        ngmi=ngmi(g.gmi_bits, h_b, m),
+        delta_h=delta_h,
+        bmd_rate=bmd_rate,
+        bmd_rate_net=bmd_rate_net,
+        normalized_air=bmd_rate / h_b if h_b > 0 else 0.0,
         asi=asi,
         asi_quantized=asi_q,
         uncertainty=rf.uncertainty,
         r_fec_star=rf.r_fec_star,
         decoder_scale=rf.scale,
         info_rate=info_rate,
-        code_rate_bound=bound,
+        code_rate_bound=code_rate_bound,
         gmi_at_boundary=g.at_boundary,
         decoder_scale_at_boundary=rf.at_boundary,
     )

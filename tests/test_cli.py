@@ -112,6 +112,25 @@ def test_fecscan_rejects_negative_max_iter(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_and_ingest_reject_bad_rates(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--format", "qpsk", "--snr-db", "3",
+                 "--symbols-per-block", "10000", "--code-rate", "1.5",
+                 "--trace-dir", str(tmp_path), "--out", str(out)]) == 2
+    assert "code rate must be in (0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+    trace = tmp_path / "point_000.lvt"
+    assert not trace.exists()              # the report fails before the write
+    assert main(["sweep", "--format", "qpsk", "--snr-db", "3",
+                 "--symbols-per-block", "10000", "--trace-dir", str(tmp_path),
+                 "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["ingest", "--trace", str(trace), "--r-loss", "-1",
+                 "--out", str(out)]) == 2
+    assert "rate loss must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fecscan_builds_the_code_once(tmp_path, monkeypatch):
     calls = []
 

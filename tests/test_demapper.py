@@ -272,7 +272,7 @@ def test_consistency_matched_qpsk():
     res = consistency_check(tr)
     assert res
     for r in res:
-        assert r.max_deviation < 0.05
+        assert np.max(np.abs(r.log_ratio - r.expected)) < 0.05
         assert r.slope == pytest.approx(1.0, rel=0.05)
         # only the overlap region of the two conditionals is testable
         assert 0.0 < r.coverage <= 1.0
@@ -284,7 +284,7 @@ def test_consistency_snr_mismatch_slope():
     assert tr.scale_opt == pytest.approx(2.0, rel=1e-12)
     for r in consistency_check(tr):
         assert r.slope == pytest.approx(2.0, rel=0.05)
-        assert r.max_deviation < 0.1
+        assert np.max(np.abs(r.log_ratio - r.expected)) < 0.1
 
 
 def test_consistency_scale_two_slope():

@@ -98,6 +98,13 @@ def parity_checks(code, bits):
     return np.bitwise_xor.reduceat(bits[code.row_cols], code.row_ptr[:-1])
 
 
+def dense(code):
+    """The parity-check matrix as a dense 0/1 array."""
+    h = np.zeros((code.n_rows, code.n), dtype=np.int64)
+    h[code.edge_row, code.row_cols] = 1
+    return h
+
+
 def gf2_rank(code):
     """Rank of the parity-check matrix over GF(2), python ints as bit rows."""
     pivots = {}
@@ -242,7 +249,7 @@ def test_generated_code_structure_all_rates():
         assert gf2_rank(code) == code.n_rows       # staircase: full rank
         assert code.encoder == "staircase"
         assert code.col_degrees[:code.k].min() >= 3
-        h = code.to_dense().astype(np.int64)
+        h = dense(code)
         overlap = h @ h.T
         np.fill_diagonal(overlap, 0)
         assert overlap.max() <= 1                  # no 4-cycles
@@ -595,7 +602,7 @@ def test_reference_code_properties():
     # light columns first, then the heavy tail of the degree profile
     assert code.col_degrees[:code.k].tolist() == [3] * 330 + [10] * 174
     # no two columns share more than one check row (no length-4 cycles)
-    h = code.to_dense().astype(np.int64)
+    h = dense(code)
     gram = h @ h.T
     np.fill_diagonal(gram, 0)
     assert gram.max() <= 1

@@ -24,13 +24,11 @@ from psbicm.metrics import (
     asi_floor,
     asi_hist,
     asi_mc,
-    bmd_rate,
     compute_report,
     gmi_from_trace,
     ngmi,
     pre_fec_ber,
     r_fec_star,
-    rate_accounting,
     soft_bit_cost,
     tributary_conditional_entropies,
 )
@@ -160,8 +158,9 @@ def test_asymmetric_values_and_priors_are_the_negations_bit_for_bit():
 
 
 def test_report_cost_passes(monkeypatch):
-    # a matched report shares one cost pass between the ASI and the
-    # conditional entropies: 3 passes; at s_o/s != 1 the rescaled ASI adds one
+    # a report evaluates the cost at four scalings: 1 for Delta_H, s_o/s for
+    # the ASI, the GMI's s* and R*_fec's s_d*.  A matched trace has s_o/s = 1,
+    # so Delta_H and the ASI share one pass: 3 passes, and 4 at s_o/s != 1
     passes = []
     cost = metrics_module.soft_bit_cost
 
@@ -217,7 +216,7 @@ def test_gmi_at_trace_scale_equals_delta_h_exactly():
     for kwargs in (dict(m=2, snr_db=5.0), dict(m=6, snr_db=12.0, amplitude_pmf=PAS_II)):
         tr = simulate_trace(n_sym=30_000, seed=3, **kwargs)
         cond = tributary_conditional_entropies(tr)
-        delta = bmd_rate(cond, tr.h_b, tr.m).delta_h
+        delta = tr.h_b - (tr.m / tr.bar_m) * float(cond.sum())
         g = gmi_from_trace(tr, s=1.0)
         assert g.gmi_bits - delta == 0.0
 
@@ -280,8 +279,8 @@ def test_conditional_entropies_against_integration_oracle():
     np.testing.assert_allclose(cond, oracle, atol=8e-3)
     # and the derived delta_h / optimized GMI agree with the integral
     delta_oracle = tr.h_b - 2 * oracle.sum()
-    bmd = bmd_rate(cond, tr.h_b, tr.m)
-    assert bmd.delta_h == pytest.approx(delta_oracle, abs=2e-2)
+    delta_h = tr.h_b - (tr.m / tr.bar_m) * cond.sum()
+    assert delta_h == pytest.approx(delta_oracle, abs=2e-2)
     g = gmi_from_trace(tr)
     assert g.gmi_bits == pytest.approx(delta_oracle, abs=2e-2)
     assert not g.at_boundary
@@ -398,19 +397,16 @@ def test_asi_hist_two_levels_is_binary_entropy_complement():
         res = asi_hist(tr)
     ber = pre_fec_ber(tr)
     hb = -(ber * np.log2(ber) + (1 - ber) * np.log2(1 - ber))
-    assert res.asi == pytest.approx(1.0 - hb, abs=1e-12)
+    assert res == pytest.approx(1.0 - hb, abs=1e-12)
 
 
 def test_asi_hist_fine_lattice_matches_mc():
     tr = simulate_trace(6, 12.0, 100_000, seed=59, amplitude_pmf=PAS_II)
     q = default_quantizer(tr, n_levels=2**11)
     qt = quantize_trace(tr, q)
+    # a wrong-sign saturation mass above 1e-3 would warn, and warnings are errors
     res = asi_hist(qt)
-    ref = asi_mc(tr)
-    assert res.asi == pytest.approx(ref, abs=1e-3)
-    assert res.asi_mc == pytest.approx(ref, abs=1e-3)
-    assert res.negative_saturation_mass <= 1e-3
-    assert res.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res == pytest.approx(asi_mc(tr), abs=1e-3)
 
 
 def test_asi_hist_warns_on_saturated_lattice():
@@ -426,26 +422,26 @@ def test_asi_hist_requires_quantized_trace():
         asi_hist(tr)
 
 
-def test_rate_accounting_arithmetic():
-    acc = rate_accounting(h_b=4.6, r_loss=0.026, r_c=5 / 6, m=6, r_bmd_net=3.6)
-    assert acc.info_rate == pytest.approx(4.6 - 0.026 - 1.0, abs=1e-15)
-    assert acc.code_rate_bound == pytest.approx(1 - (4.6 - 0.026 - 3.6) / 6, abs=1e-15)
-
-
 def test_report_fields_and_serialization():
     tr = simulate_trace(6, 12.0, 40_000, seed=71, amplitude_pmf=PAS_II)
     rep = compute_report(tr)
     assert np.isnan(rep.asi_quantized) and np.isnan(rep.info_rate)
+    assert np.isnan(rep.code_rate_bound)
     assert rep.decoder_scale == pytest.approx(1.0, abs=0.1)
     assert 0.0 <= rep.gmi_bits - rep.delta_h < 1e-5
     assert rep.ngmi == pytest.approx(rep.asi, abs=5e-3)
     assert rep.normalized_air == pytest.approx(rep.bmd_rate / tr.h_b, rel=1e-12)
+    # an overconfident demapper (s = 5) puts Delta_H below 0; the BMD rate clips it
+    over = compute_report(simulate_trace(2, 0.0, 2_000, seed=83, scale=5.0))
+    assert over.delta_h < 0.0 and over.bmd_rate == 0.0 and over.normalized_air == 0.0
 
     q = default_quantizer(tr, n_levels=64)
     rep_q = compute_report(tr, quantizer=q, r_c=5 / 6, r_loss=0.02)
     assert np.isfinite(rep_q.asi_quantized)
     assert rep_q.info_rate == pytest.approx(tr.h_b - 0.02 - 1.0, abs=1e-12)
     assert rep_q.bmd_rate_net == pytest.approx(rep_q.delta_h - 0.02, abs=1e-12)
+    assert rep_q.code_rate_bound == pytest.approx(
+        1 - (tr.h_b - 0.02 - rep_q.bmd_rate_net) / 6, abs=1e-12)
 
     header = _csv_header(MetricReport)
     assert header.split(",")[0] == "pre_fec_ber"
@@ -463,6 +459,16 @@ def test_report_fields_and_serialization():
     assert row.endswith(",0,0")
 
 
+def test_report_rejects_bad_rates():
+    tr = simulate_trace(2, 3.0, 1_000, seed=79)
+    for r_c in (0.0, -0.5, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="code rate"):
+            compute_report(tr, r_c=r_c)
+    for r_loss in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rate loss"):
+            compute_report(tr, r_c=0.5, r_loss=r_loss)
+    assert compute_report(tr, r_c=1.0).info_rate == tr.h_b
+
 
 @pytest.mark.parametrize("offset_db, trace_q, report_q", [
     (0.0, None, None),                              # matched, s_o/s = 1
@@ -479,18 +485,18 @@ def test_report_equals_standalone_estimators(offset_db, trace_q, report_q):
     assert (tr.s_ratio == 1.0) == (offset_db == 0.0)
     rep = compute_report(tr, quantizer=report_q, r_c=0.5, r_loss=0.01)
     g = gmi_from_trace(tr)
-    bmd = bmd_rate(tributary_conditional_entropies(tr, s_ratio=1.0), tr.h_b, tr.m,
-                   r_loss=0.01)
+    delta_h = gmi_from_trace(tr, s=tr.scale).gmi_bits
+    r_bmd = max(delta_h, 0.0)
     rf = r_fec_star(tr)
-    acc = rate_accounting(tr.h_b, 0.01, 0.5, tr.m, bmd.r_bmd_net)
     qt = tr if report_q is None or tr.quantizer == report_q else quantize_trace(tr, report_q)
     expected = MetricReport(
         pre_fec_ber=pre_fec_ber(tr), gmi_bits=g.gmi_bits, gmi_scale=g.scale,
-        ngmi=ngmi(g.gmi_bits, tr.h_b, tr.m), delta_h=bmd.delta_h, bmd_rate=bmd.r_bmd,
-        bmd_rate_net=bmd.r_bmd_net, normalized_air=bmd.normalized_air, asi=asi_mc(tr),
-        asi_quantized=asi_hist(qt).asi if qt.quantizer is not None else float("nan"),
+        ngmi=ngmi(g.gmi_bits, tr.h_b, tr.m), delta_h=delta_h, bmd_rate=r_bmd,
+        bmd_rate_net=delta_h - 0.01, normalized_air=r_bmd / tr.h_b, asi=asi_mc(tr),
+        asi_quantized=asi_hist(qt) if qt.quantizer is not None else float("nan"),
         uncertainty=rf.uncertainty, r_fec_star=rf.r_fec_star, decoder_scale=rf.scale,
-        info_rate=acc.info_rate, code_rate_bound=acc.code_rate_bound,
+        info_rate=tr.h_b - 0.01 - (1.0 - 0.5) * tr.m,
+        code_rate_bound=1.0 - (tr.h_b - 0.01 - (delta_h - 0.01)) / tr.m,
         gmi_at_boundary=g.at_boundary, decoder_scale_at_boundary=rf.at_boundary,
     )
     for f in fields(MetricReport):
