@@ -53,28 +53,35 @@ class Quantizer:
     step: float
 
     def __post_init__(self):
-        if self.n_levels < 2 or self.n_levels % 2:
-            raise ValueError("n_levels must be even and >= 2")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        n = self.n_levels
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2 or n % 2:
+            raise ValueError(f"n_levels must be an even integer >= 2, got {n!r}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
 
     @property
     def l_max(self):
         return (self.n_levels - 1) * self.step / 2.0
 
+    def _signed_levels(self, lvalues):
+        # (-1)^[l < 0] (j + 0.5), j = min(floor(|l|/step), n_levels/2 - 1), in place
+        l = np.asarray(lvalues, dtype=float)
+        v = np.abs(l, out=np.empty_like(l))
+        v /= self.step
+        np.floor(v, out=v)
+        np.minimum(v, self.n_levels // 2 - 1, out=v)
+        v += 0.5
+        return np.copysign(v, l + 0.0, out=v)     # l + 0.0 maps -0.0 up, as +0.0
+
     def apply(self, lvalues):
         """Round to the nearest lattice point (zero maps to +step/2)."""
-        l = np.asarray(lvalues, dtype=float)
-        j = np.clip(np.floor(np.abs(l) / self.step), 0, self.n_levels // 2 - 1)
-        sign = np.where(l < 0, -1.0, 1.0)
-        return sign * (j + 0.5) * self.step
+        v = self._signed_levels(lvalues)
+        return np.multiply(v, self.step, out=v)[()]     # a float64 when 0-d
 
     def indices(self, lvalues):
         """Lattice index in 0..n_levels-1 (ascending order) of each value."""
-        l = np.asarray(lvalues, dtype=float)
-        j = np.clip(np.floor(np.abs(l) / self.step), 0, self.n_levels // 2 - 1)
-        half = self.n_levels // 2
-        return np.where(l < 0, half - 1 - j, half + j).astype(np.int64)
+        v = self._signed_levels(lvalues)                # exact on half-integers
+        return np.add(v, self.n_levels // 2 - 0.5, out=v).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ evaluated on (rescaled) asymmetric L-values ``l_a = (-1)^bit * L``:
 ``compute_report`` evaluates the family on one trace into one
 ``MetricReport``.  Delta_H and the fields derived from it (BMD rate,
 net BMD rate, normalized AIR, information rate, code-rate bound) are
-closed forms computed in the report itself.
+closed forms computed in the report itself.  With zero priors at s = 1
+the GMI's scaling search is R*_fec's and runs once: ``gmi_scale ==
+decoder_scale`` and NGMI = R*_fec up to rounding (no shaping, one quantity).
 
 All of these route through one reduction helper, so the algebraic
 identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
@@ -352,6 +354,8 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
     H(B) - R_loss - (1 - r_c)*m, and the code rate at which it would just
     reach the net BMD rate.  ``r_loss`` >= 0 is the shaping rate loss.
     The asymmetric L-values are built once and passed to every estimator.
+    With zero priors at s = 1 one scaling search serves the GMI and
+    R*_fec: ``gmi_scale == decoder_scale``, NGMI = R*_fec up to rounding.
     """
     if r_c is not None and not 0.0 < r_c <= 1.0:
         raise ValueError(f"code rate must be in (0, 1], got {r_c!r}")
@@ -359,13 +363,17 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
         raise ValueError(f"rate loss must be finite and >= 0, got {r_loss!r}")
     h_b, m = trace.h_b, trace.m
     la = trace.asymmetric()
-    g = gmi_from_trace(trace, s="optimize", la=la)
+    rf = r_fec_star(trace, s_d="optimize", la=la)
+    if trace.scale == 1.0 and not np.any(trace.priors):
+        # the GMI's search is R*_fec's: a zero prior only turns -0.0 into +0.0
+        g = GmiResult(h_b - rf.uncertainty, rf.scale, rf.at_boundary)
+    else:
+        g = gmi_from_trace(trace, s="optimize", la=la)
     cond = tributary_conditional_entropies(trace, s_ratio=1.0, la=la)
     u = _uncertainty(trace, cond)
     delta_h = h_b - u                           # = GMI at the trace's own s
     bmd_rate = max(delta_h, 0.0)
     bmd_rate_net = delta_h - r_loss
-    rf = r_fec_star(trace, s_d="optimize", la=la)
     # at s_o/s = 1 asi_mc would repeat the cost pass of cond
     asi = 1.0 - u / m if trace.s_ratio == 1.0 else asi_mc(trace, la=la)
     if quantizer is not None and trace.quantizer != quantizer:

@@ -79,6 +79,16 @@ def test_sweep_validation_failures(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_names_a_bad_quantizer_step(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for step in ("inf", "nan", "0"):
+        assert main(["sweep", "--format", "qpsk", "--snr-db", "2",
+                     "--symbols-per-block", "10000", "--quantizer-levels", "16",
+                     "--quantizer-step", step, "--out", str(out)]) == 2
+        assert "step must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fecscan_small_run(tmp_path):
     out = tmp_path / "scan.csv"
     jout = tmp_path / "scan.json"

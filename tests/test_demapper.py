@@ -141,11 +141,40 @@ def test_quantizer_symmetry_and_monotonicity():
     assert np.array_equal(points[idx], ql)
 
 
+def test_quantizer_in_place_forms_equal_the_masked_forms():
+    # apply and indices build one level array in place; they equal the
+    # np.clip/np.where forms bit for bit on signed zeros, saturating values
+    # and exact lattice multiples, where floor(|l|/step) sits on an integer
+    for q in (Quantizer(16, 6.75), Quantizer(8, 0.1), Quantizer(2, 3.0)):
+        half = q.n_levels // 2
+        k = np.arange(-2 * half, 2 * half + 1)
+        l = np.concatenate(([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300],
+                            k * q.step, np.nextafter(k * q.step, 0.0),
+                            np.random.default_rng(5).normal(scale=4 * q.l_max, size=2000)))
+        j = np.clip(np.floor(np.abs(l) / q.step), 0, half - 1)
+        applied = np.where(l < 0, -1.0, 1.0) * (j + 0.5) * q.step
+        assert np.array_equal(q.apply(l).view(np.uint64), applied.view(np.uint64))
+        assert np.array_equal(q.indices(l), np.where(l < 0, half - 1 - j, half + j))
+        assert type(q.apply(-0.0)) is np.float64 and q.apply(-0.0) == q.step / 2
+        assert q.indices(-2 * q.step) == max(half - 3, 0)   # |l|/step = 2: j = 2
+    lv = np.array([-1.0, 2.0])
+    Quantizer(8, 1.0).apply(lv)
+    assert lv.tolist() == [-1.0, 2.0]                   # the input is not modified
+
+
 def test_quantizer_validation():
     with pytest.raises(ValueError):
         Quantizer(n_levels=7, step=1.0)
     with pytest.raises(ValueError):
         Quantizer(n_levels=8, step=0.0)
+    # a non-integer level count and a non-finite step are named
+    for n in (16.0, True, "16", None):
+        with pytest.raises(ValueError, match="n_levels"):
+            Quantizer(n_levels=n, step=1.0)
+    for step in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="step"):
+            Quantizer(n_levels=16, step=step)
+    assert Quantizer(np.int64(16), np.float64(6.75)).l_max == 50.625
     with pytest.raises(ValueError):
         DemapperConfig(assumed_snr_db=0.0, scale=-1.0)
 

@@ -160,20 +160,32 @@ def test_asymmetric_values_and_priors_are_the_negations_bit_for_bit():
 def test_report_cost_passes(monkeypatch):
     # a report evaluates the cost at four scalings: 1 for Delta_H, s_o/s for
     # the ASI, the GMI's s* and R*_fec's s_d*.  A matched trace has s_o/s = 1,
-    # so Delta_H and the ASI share one pass: 3 passes, and 4 at s_o/s != 1
-    passes = []
-    cost = metrics_module.soft_bit_cost
+    # so Delta_H and the ASI share one pass; with zero priors at s = 1 the
+    # GMI's search is R*_fec's, so one search serves both
+    passes, searches = [], []
+    cost, search = metrics_module.soft_bit_cost, metrics_module._minimize_scaling
 
     def counting_cost(x):
         passes.append(np.size(x))
         return cost(x)
 
+    def counting_search(*args):
+        searches.append(args[-1])
+        return search(*args)
+
     monkeypatch.setattr(metrics_module, "soft_bit_cost", counting_cost)
-    for assumed_db, expected in ((12.0, 3), (9.0, 4)):
+    monkeypatch.setattr(metrics_module, "_minimize_scaling", counting_search)
+    for kwargs, expected, n_searches in (
+            (dict(assumed_snr_db=12.0), 2, 1),            # uniform, matched
+            (dict(assumed_snr_db=9.0), 3, 1),             # uniform, s_o/s = 2
+            (dict(amplitude_pmf=PAS_II), 3, 2),           # shaped: nonzero priors
+            (dict(scale=0.8), 4, 2)):                     # uniform at s = 0.8
         passes.clear()
-        tr = simulate_trace(6, 12.0, 1_000, seed=19, assumed_snr_db=assumed_db)
+        searches.clear()
+        tr = simulate_trace(6, 12.0, 1_000, seed=19, **kwargs)
         compute_report(tr, r_c=0.5)
-        assert passes == [tr.n] * expected
+        assert passes == [tr.n] * expected, kwargs
+        assert len(searches) == n_searches, kwargs
 
 
 def test_pre_fec_ber_hand_built():
@@ -475,14 +487,19 @@ def test_report_rejects_bad_rates():
     (-10 * np.log10(2), None, None),                # mismatched, s_o/s = 2
     (0.0, Quantizer(16, 6.75), Quantizer(16, 6.75)),  # quantized trace
     (0.0, None, Quantizer(32, 3.0)),                # quantized copy
+    # traces that keep two scaling searches; trace_q holds simulate_trace kwargs
+    pytest.param(0.0, dict(amplitude_pmf=PAS_II), None, id="shaped"),
+    pytest.param(0.0, dict(scale=0.8), None, id="scale_0.8"),
 ])
 def test_report_equals_standalone_estimators(offset_db, trace_q, report_q):
-    # compute_report shares the asymmetric L-values and, when s_o/s = 1,
-    # one cost pass between the ASI and the conditional entropies; every
+    # compute_report shares the asymmetric L-values, when s_o/s = 1 one cost
+    # pass between the ASI and the conditional entropies, and with zero
+    # priors at s = 1 one scaling search between the GMI and R*_fec; every
     # field must still be the bits of the standalone estimators
+    kwargs = trace_q if isinstance(trace_q, dict) else dict(quantizer=trace_q)
     tr = simulate_trace(6, 12.0, 20_000, seed=73, assumed_snr_db=12.0 + offset_db,
-                        quantizer=trace_q)
-    assert (tr.s_ratio == 1.0) == (offset_db == 0.0)
+                        **kwargs)
+    assert (tr.s_ratio == 1.0) == (offset_db == 0.0 and "scale" not in kwargs)
     rep = compute_report(tr, quantizer=report_q, r_c=0.5, r_loss=0.01)
     g = gmi_from_trace(tr)
     delta_h = gmi_from_trace(tr, s=tr.scale).gmi_bits

@@ -8,6 +8,7 @@ not a statistical tendency.
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from psbicm.fec import (
 )
 from psbicm.metrics import (
     asi_mc,
+    compute_report,
     gmi_from_trace,
     r_fec_star,
     tributary_conditional_entropies,
@@ -66,6 +68,36 @@ def test_exact_metric_identities_on_random_traces(m, snr_db, offset_db, scale,
     assert abs(gmi_from_trace(trace, s=trace.scale).gmi_bits - delta_h) <= 1e-12
     s_next = float(np.nextafter(trace.scale, np.inf))
     assert abs(gmi_from_trace(trace, s=s_next).gmi_bits - delta_h) <= 1e-12
+
+
+@PROPERTY
+@given(m=st.sampled_from([2, 4, 6]),
+       snr_db=st.floats(-2.0, 18.0),
+       offset_db=st.floats(-3.0, 3.0),
+       zeros=st.integers(0, 60),
+       seed=st.integers(0, 2**31 - 1))
+def test_unshaped_gmi_and_fec_rate_are_one_search(m, snr_db, offset_db, zeros, seed):
+    # with zero priors at s = 1 the report's one search serves the GMI and
+    # R*_fec, bit for bit as the standalone GMI search, signed zeros included
+    con, pmf = square_qam(m)
+    ch = ChannelConfig(snr_db, seed=seed)
+    labels = draw_labels(pmf, 300, ch.rng())
+    cfg = DemapperConfig(assumed_snr_db=snr_db + offset_db)
+    trace = demap_to_trace(labels, awgn(con.points[labels], ch), con, pmf, cfg,
+                           channel_snr_linear=ch.snr_linear)
+    lv = trace.lvalues.copy()
+    at = np.random.default_rng(seed).permutation(lv.size)[:zeros]
+    lv[at] = np.where(at % 2 == 0, -0.0, 0.0)
+    trace = replace(trace, lvalues=lv)
+
+    rep = compute_report(trace)
+    g = gmi_from_trace(trace)
+    assert (rep.gmi_bits, rep.gmi_scale, rep.gmi_at_boundary) == (
+        g.gmi_bits, g.scale, g.at_boundary)
+    assert rep.gmi_scale == rep.decoder_scale
+    assert rep.gmi_at_boundary == rep.decoder_scale_at_boundary
+    if rep.r_fec_star > 0:
+        assert abs(rep.ngmi - rep.r_fec_star) <= 1e-14
 
 
 @PROPERTY
