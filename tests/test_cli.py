@@ -89,6 +89,15 @@ def test_sweep_names_a_bad_quantizer_step(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_names_a_bad_assumed_snr_offset(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--format", "qpsk", "--snr-db", "2",
+                 "--symbols-per-block", "10000", "--assumed-snr-offset-db", "nan",
+                 "--out", str(out)]) == 2
+    assert "assumed_snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fecscan_small_run(tmp_path):
     out = tmp_path / "scan.csv"
     jout = tmp_path / "scan.json"

@@ -1,5 +1,6 @@
-"""Property tests: exact metric identities and the round trips of the
-alist, CCDM and bit-mapping codecs, on generated inputs.
+"""Property tests: exact metric identities, the demapper's tolerance and
+the round trips of the alist, CCDM and bit-mapping codecs, on generated
+inputs.
 
 Examples are derandomized and few, so the module is deterministic and
 fast; each property states an identity that must hold for every input,
@@ -9,6 +10,7 @@ not a statistical tendency.
 import os
 import tempfile
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from psbicm.channel import ChannelConfig, awgn
 from psbicm.constellation import draw_labels, square_qam
-from psbicm.demapper import DemapperConfig, demap_to_trace
+from psbicm.demapper import DemapperConfig, demap_to_trace, extrinsic_lvalues
 from psbicm.fec import (
     MAPPING_KINDS,
     apply_mapping,
@@ -33,7 +35,14 @@ from psbicm.metrics import (
     r_fec_star,
     tributary_conditional_entropies,
 )
-from psbicm.shaping import AmplitudeComposition, ccdm_decode, ccdm_encode
+from psbicm.shaping import (
+    AmplitudeComposition,
+    amplitude_preset,
+    ccdm_decode,
+    ccdm_encode,
+    quantize_pmf,
+)
+from test_demapper import LVALUE_TOL, masked_lse_extrinsic
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -98,6 +107,31 @@ def test_unshaped_gmi_and_fec_rate_are_one_search(m, snr_db, offset_db, zeros, s
     assert rep.gmi_at_boundary == rep.decoder_scale_at_boundary
     if rep.r_fec_star > 0:
         assert abs(rep.ngmi - rep.r_fec_star) <= 1e-14
+
+
+@lru_cache(maxsize=None)
+def _demap_format(name):
+    if name in ("i", "ii", "iii"):
+        return square_qam(6, amplitude_pmf=quantize_pmf(amplitude_preset(name), 1024).pmf)
+    return square_qam(int(name))
+
+
+@PROPERTY
+@given(fmt=st.sampled_from(["4", "6", "8", "i", "ii", "iii"]),
+       assumed_snr_db=st.floats(0.0, 45.0),
+       offset_db=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_demap_within_tolerance_of_per_subset_lse(fmt, assumed_snr_db, offset_db, seed):
+    # one shift per sample, with the per-subset fallback where a subset
+    # sum underflows: finite, and the masked form's values within tolerance
+    con, pmf = _demap_format(fmt)
+    ch = ChannelConfig(assumed_snr_db - offset_db, seed=seed)
+    labels = draw_labels(pmf, 300, ch.rng())
+    y = awgn(con.points[labels], ch)
+    snr = DemapperConfig(assumed_snr_db=assumed_snr_db).assumed_snr_linear
+    got = extrinsic_lvalues(y, con, pmf, snr)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - masked_lse_extrinsic(y, con, pmf, snr))) <= LVALUE_TOL
 
 
 @PROPERTY
