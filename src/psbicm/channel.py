@@ -12,16 +12,30 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _linear_snr_usable(db):
+    """Whether 10^(db/10) is a finite float no smaller than the least normal one.
+
+    True for dB values in about [-3076.5, 3082.5]; False for NaN and
+    +-inf.  ``math.pow`` raises on overflow where numpy would warn.
+    """
+    try:
+        return sys.float_info.min <= math.pow(10.0, db / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """AWGN operating point plus noise-stream identity.
 
-    ``snr_db = inf`` turns the channel noiseless.  ``seed`` and
+    ``snr_db = inf`` turns the channel noiseless; any other value must
+    have a finite, normal linear SNR 10^(snr_db/10).  ``seed`` and
     ``block_id`` are integers in [0, 2**64): they key the Philox stream.
     """
 
@@ -30,10 +44,11 @@ class ChannelConfig:
     block_id: int = 0
 
     def __post_init__(self):
-        # math.isnan, and an exact-int test ahead of the ABC isinstance:
-        # 2.5 µs per config instead of 5.5 with np.isnan (2-vCPU Xeon VM)
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        # math.pow, not numpy, on the SNR and an exact-int test ahead of the ABC
+        # isinstance: 1.4 µs per config, 1.25 with a NaN test alone (2-vCPU VM)
+        if self.snr_db != math.inf and not _linear_snr_usable(self.snr_db):
+            raise ValueError("snr_db must be +inf or have a finite, normal linear "
+                             f"SNR 10^(snr_db/10), got {self.snr_db!r}")
         for name in ("seed", "block_id"):
             v = getattr(self, name)
             if (not (type(v) is int or isinstance(v, numbers.Integral)
@@ -46,7 +61,7 @@ class ChannelConfig:
 
     @property
     def noiseless(self):
-        return np.isinf(self.snr_db) and self.snr_db > 0
+        return self.snr_db == math.inf
 
     @property
     def noise_sigma(self):

@@ -84,10 +84,17 @@ class Constellation:
         return 2 * self.bar_m
 
     def labels_to_bits(self, labels):
-        """(..., ) label integers -> (..., m) bit array, MSB first."""
+        """(..., ) label integers -> (..., m) uint8 bit array, MSB first.
+
+        A label's low m bits, shifted to the top of a big-endian word
+        and unpacked from its bytes: no temporary wider than the result.
+        """
         labels = np.asarray(labels)
-        shifts = np.arange(self.m - 1, -1, -1)
-        return ((labels[..., None] >> shifts) & 1).astype(np.uint8)
+        nbytes = np.min_scalar_type((1 << self.m) - 1).itemsize
+        word = labels.astype(f">u{nbytes}")         # wraps: keeps the low bits
+        word <<= 8 * nbytes - self.m
+        octets = word.reshape(-1).view(np.uint8).reshape(labels.shape + (nbytes,))
+        return np.unpackbits(octets, axis=-1, count=self.m)
 
     def bits_to_labels(self, bits):
         bits = np.asarray(bits)

@@ -48,6 +48,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .channel import _linear_snr_usable
+
 # symbols per demapper chunk times PAM levels: 2048 symbols for 16-QAM, 1024
 # for 64-QAM, 512 for 256-QAM.  Per 20000-symbol call (CPU time, 2-vCPU VM)
 # 1 << 12, 1 << 13 and 1 << 14 took 2.4, 2.1 and 2.7 ms on 16-QAM, 4.9, 3.7
@@ -116,8 +118,9 @@ class DemapperConfig:
     quantizer: Quantizer | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.assumed_snr_db):
-            raise ValueError(f"assumed_snr_db must be finite, got {self.assumed_snr_db!r}")
+        if not _linear_snr_usable(self.assumed_snr_db):
+            raise ValueError("assumed_snr_db must be finite, with a finite, normal linear "
+                             f"SNR 10^(assumed_snr_db/10), got {self.assumed_snr_db!r}")
         if not 0 <= self.scale < math.inf:
             raise ValueError(f"scale must be finite and >= 0, got {self.scale!r}")
 
@@ -340,7 +343,7 @@ def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):
         raise ValueError("bits and lvalues must be matching (n_sym, m) matrices")
     n_sym, m = bits.shape
     bar_m = pmf.bar_m
-    trib = np.tile(np.arange(m) % bar_m + 1, n_sym).astype(np.uint8)
+    trib = np.tile((np.arange(m) % bar_m + 1).astype(np.uint8), n_sym)
     return LValueTrace(
         bits=bits.ravel(),
         lvalues=lvalues.ravel(),

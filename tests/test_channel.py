@@ -62,6 +62,19 @@ def test_nan_snr_rejected():
         ChannelConfig(snr_db=float("nan"))
 
 
+def test_snr_without_a_usable_linear_value_rejected():
+    # 10^(dB/10) overflows above about 3082.5 dB and is subnormal or zero
+    # below about -3076.5 dB: a ValueError, not an OverflowError from
+    # snr_linear or a ZeroDivisionError from noise_sigma
+    for db in (4000.0, -4000.0, 3083.0, -3077.0, -np.inf, np.float64(4000.0)):
+        with pytest.raises(ValueError, match="snr_db must be"):
+            ChannelConfig(snr_db=db)
+    for db in (3082.0, -3076.0, np.float64(-3076.0)):
+        cfg = ChannelConfig(snr_db=db)
+        assert 0 < cfg.snr_linear < np.inf and 0 < cfg.noise_sigma < np.inf
+    assert ChannelConfig(snr_db=np.inf).noiseless and not ChannelConfig(snr_db=3082.0).noiseless
+
+
 def test_seed_and_block_id_must_key_philox():
     # the Philox key is two uint64 words: anything else is a ValueError,
     # not an OverflowError from rng()

@@ -91,10 +91,22 @@ def test_sweep_names_a_bad_quantizer_step(tmp_path, capsys):
 
 def test_sweep_names_a_bad_assumed_snr_offset(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["sweep", "--format", "qpsk", "--snr-db", "2",
-                 "--symbols-per-block", "10000", "--assumed-snr-offset-db", "nan",
-                 "--out", str(out)]) == 2
-    assert "assumed_snr_db must be finite" in capsys.readouterr().err
+    # NaN, and 3100 dB, whose linear SNR overflows
+    for snr, offset in (("2", "nan"), ("3000", "100")):
+        assert main(["sweep", "--format", "qpsk", "--snr-db", snr,
+                     "--symbols-per-block", "10000", "--assumed-snr-offset-db", offset,
+                     "--out", str(out)]) == 2
+        assert "assumed_snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_an_snr_without_a_usable_linear_value(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for db in ("4000", "-4000"):
+        assert main(["sweep", "--format", "qpsk", "--snr-db", db,
+                     "--symbols-per-block", "10000", "--out", str(out)]) == 2
+        assert "snr_db must be +inf or have a finite, normal linear SNR" in \
+            capsys.readouterr().err
     assert not out.exists()
 
 

@@ -90,6 +90,21 @@ def test_modulate_roundtrip():
     assert np.array_equal(con.bits_to_labels(bits), labels)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 16])
+def test_labels_to_bits_equals_the_shift_form(m):
+    # the low m bits of any integer label, negative ones included, as the
+    # int64 shift-and-mask form gives them
+    con, _ = square_qam(m)
+    labels = np.random.default_rng(m).integers(-3, 1 << (m + 1), (50, 7))
+    ref = ((labels[..., None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+    bits = con.labels_to_bits(labels)
+    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+    assert np.array_equal(bits, ref)
+    assert np.array_equal(con.labels_to_bits(labels[0, 0]), ref[0, 0])
+    assert np.array_equal(con.labels_to_bits(labels[0].astype(np.uint16)), ref[0])
+    assert np.array_equal(con.labels_to_bits(labels.T), ref.transpose(1, 0, 2))
+
+
 def test_symbol_pmf_validation():
     with pytest.raises(ValueError):
         SymbolPmf(p_dim=np.array([0.5, 0.6]), bar_m=1)

@@ -178,10 +178,13 @@ def test_quantizer_validation():
 
 def test_demapper_config_validation():
     # a NaN or infinite SNR makes a sample's largest metric, its shift,
-    # NaN or infinite; a non-finite scale makes the L-values so
-    for db in (np.nan, np.inf, -np.inf):
+    # NaN or infinite, and so does a linear SNR that overflows (4000 dB) or
+    # is zero (-4000 dB); a non-finite scale makes the L-values so
+    for db in (np.nan, np.inf, -np.inf, 4000.0, -4000.0, 3083.0, -3077.0):
         with pytest.raises(ValueError, match="assumed_snr_db must be finite"):
             DemapperConfig(assumed_snr_db=db)
+    for db in (3082.0, -3076.0):
+        assert 0 < DemapperConfig(assumed_snr_db=db).assumed_snr_linear < np.inf
     for scale in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="scale must be finite and >= 0"):
             DemapperConfig(assumed_snr_db=0.0, scale=scale)
@@ -359,6 +362,14 @@ def test_make_trace_shape_validation():
     _, pmf = square_qam(2)
     with pytest.raises(ValueError):
         make_trace(np.zeros((3, 2), np.uint8), np.zeros(6), pmf)
+
+
+def test_make_trace_tributaries_are_symbol_major_uint8():
+    for m in (2, 4, 8):
+        _, pmf = square_qam(m)
+        tr = make_trace(np.zeros((5, m), np.uint8), np.ones((5, m)), pmf)
+        assert tr.tributaries.dtype == np.uint8
+        assert np.array_equal(tr.tributaries, np.tile(np.arange(m) % (m // 2) + 1, 5))
 
 
 def test_nonfinite_lvalues_rejected(tmp_path):

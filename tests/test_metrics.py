@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -163,17 +167,17 @@ def test_report_cost_passes(monkeypatch):
     # so Delta_H and the ASI share one pass; with zero priors at s = 1 the
     # GMI's search is R*_fec's, so one search serves both
     passes, searches = [], []
-    cost, search = metrics_module.soft_bit_cost, metrics_module._minimize_scaling
+    cost, search = metrics_module._soft_bit_cost, metrics_module._minimize_scaling
 
-    def counting_cost(x):
+    def counting_cost(x, pos, out):
         passes.append(np.size(x))
-        return cost(x)
+        return cost(x, pos, out)
 
     def counting_search(*args):
         searches.append(args[-1])
         return search(*args)
 
-    monkeypatch.setattr(metrics_module, "soft_bit_cost", counting_cost)
+    monkeypatch.setattr(metrics_module, "_soft_bit_cost", counting_cost)
     monkeypatch.setattr(metrics_module, "_minimize_scaling", counting_search)
     for kwargs, expected, n_searches in (
             (dict(assumed_snr_db=12.0), 2, 1),            # uniform, matched
@@ -186,6 +190,83 @@ def test_report_cost_passes(monkeypatch):
         compute_report(tr, r_c=0.5)
         assert passes == [tr.n] * expected, kwargs
         assert len(searches) == n_searches, kwargs
+
+
+def _bits(report):
+    # every field's bit pattern: NaN fields compare equal, -0.0 and 0.0 do not
+    return [np.float64(getattr(report, f.name)).tobytes() for f in fields(report)]
+
+
+def _workspace_traces():
+    # shaped and uniform at s = 0.8 (both with a GMI search), mismatched
+    # uniform and quantized, of four different lengths
+    return [simulate_trace(6, 12.0, 2_000, seed=21, amplitude_pmf=PAS_II),
+            simulate_trace(8, 18.0, 3_000, seed=22, assumed_snr_db=15.0),
+            simulate_trace(4, 8.0, 500, seed=23, quantizer=Quantizer(8, 2.0)),
+            simulate_trace(2, 3.0, 1_500, seed=24, scale=0.8)]
+
+
+def test_workspace_keeps_no_state_between_reports():
+    # a new thread starts with no workspace: A grows it, the larger B grows
+    # it again, the smaller C leaves B's values past its end, and A's
+    # second report must not see any of them, nor NaNs written over all
+    a, b, c, _ = _workspace_traces()
+    got = []
+
+    def run():
+        for tr in (a, b, c, a):
+            got.append(_bits(compute_report(tr, r_c=0.5)))
+            metrics_module._local.buf.fill(np.nan)
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and len(got) == 4
+    assert got[0] == got[3] == _bits(compute_report(a, r_c=0.5))
+    assert got[1] == _bits(compute_report(b, r_c=0.5))
+
+
+def test_reports_in_concurrent_threads_equal_the_sequential_ones():
+    # more threads than cores, each with its own workspace, on every trace
+    # in a different order; a short switch interval interleaves them often
+    traces = _workspace_traces()
+    expected = [_bits(compute_report(tr, r_c=0.5)) for tr in traces]
+    order = [np.roll(np.arange(len(traces)), k).tolist() * 3 for k in range(4)]
+
+    def run(idx):
+        return [_bits(compute_report(traces[i], r_c=0.5)) for i in idx]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, idx) for idx in order]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for idx, got in zip(order, results):
+        assert got == [expected[i] for i in idx]
+
+
+@pytest.mark.parametrize("kwargs, rows", [(dict(), 2), (dict(assumed_snr_db=9.0), 2),
+                                          (dict(amplitude_pmf=PAS_II), 4),
+                                          (dict(scale=0.8), 4)],
+                         ids=["matched", "mismatched", "shaped", "scaled"])
+def test_a_second_report_takes_no_fresh_search_or_cost_row(kwargs, rows):
+    # once a report has grown the workspace, one on a trace of the same
+    # length allocates rows of 8n bytes only for the asymmetric L-values,
+    # numpy's intp copy of the uint8 tributary ids (bincount, take) and,
+    # with a GMI search, its prior and extrinsic rows; fresh search and
+    # cost rows would add two to four more
+    a, b = (simulate_trace(6, 12.0, 5_000, seed=s, **kwargs) for s in (31, 32))
+    compute_report(a, r_c=0.5)
+    tracemalloc.start()
+    try:
+        compute_report(b, r_c=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (rows + 0.5) * 8 * b.n
 
 
 def test_pre_fec_ber_hand_built():
