@@ -98,6 +98,8 @@ class Constellation:
 
     def bits_to_labels(self, bits):
         bits = np.asarray(bits)
+        if bits.shape[-1:] != (self.m,) or np.any((bits != 0) & (bits != 1)):
+            raise ValueError(f"need m = {self.m} bits of 0 or 1 on the last axis")
         weights = 1 << np.arange(self.m - 1, -1, -1)
         return (bits * weights).sum(axis=-1)
 

@@ -14,10 +14,10 @@ dual-diagonal accumulator staircase.  The staircase makes the matrix
 provably full rank and gives O(n) encoding; circulant shifts are chosen
 under explicit girth constraints so the Tanner graph has no 4-cycles.
 The accumulator is a prefix XOR, so a codeword's parities are the XOR of
-its information bits' own prefix parities, and the weight screen on 1-
-and 2-information-bit codewords is popcounts of packed prefix-parity
-rows.  Matrices round-trip through the standard alist text format and
-the package ships one frozen n=1008, rate-1/2 instance for fast studies.
+its information bits' own prefix parities; the weight screen on 1- and
+2-information-bit codewords is popcounts of packed prefix-parity rows,
+XORed in blocks of bounded size.  Matrices round-trip through the alist
+text format and the package ships one frozen n=1008, rate-1/2 instance.
 
 Decoding is flooding-schedule sum-product in the phi domain,
 phi(x) = -ln tanh(x/2) being its own inverse.  The check update carries
@@ -61,6 +61,13 @@ _RATES = {
 }
 
 _REFERENCE_ALIST = "data/n1008_r12.alist"
+
+
+def _require_nonnegative_ints(**values):
+    """Reject, by name, a bool, a non-integer or a negative value."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 # --- bit mappings --------------------------------------------------------
@@ -239,42 +246,27 @@ def _candidate_geometries(n, num, den):
     return [(bc, br, zz) for _, bc, br, zz in sorted(out)]
 
 
-def _leg_rows(classes, shifts, z, q):
-    """Check rows of one bit group, shape (z, degree).
-
-    Bit c of a group connects, per leg, to row ((c + u) mod z) * q + v:
-    each leg walks one residue class v (mod q) with in-class circulant
-    shift u.  Consecutive bits of a group land q rows apart, so the
-    parity runs they trigger in the accumulator have length >= q instead
-    of 1 -- this row interleaving is what keeps sparse-information
-    codewords heavy.
-    """
-    c = np.arange(z)
-    return np.stack(
-        [((c + int(u)) % z) * q + int(v) for v, u in zip(classes, shifts)], axis=1
-    )
-
-
 def _prefix_parities(legs, m):
     """Accumulator parities of each bit of a group, packed as uint64 words.
 
-    The staircase is a prefix XOR: a bit flipping check rows R sets
-    parity j to the parity of |R ∩ [0, j]|.  Column a of the returned
-    (words, z) array is bit a's packed parity row P_a, word-major so that
-    popcounts sum over the leading axis.  By linearity a set of bits has
-    the XOR of its rows as parities, so bit a weighs 1 + popcount(P_a)
-    and the pair (a, b) weighs 2 + popcount(P_a ^ P_b).
+    The staircase is a prefix XOR: a bit flipping check rows R has the XOR
+    over r in R of the runs [r, m) as parities.  Bit i of word w stands for
+    row m - 1 - 64w - i, so a run is its m - r low bits (shifted in halves:
+    a shift by 64 clears) and no padding bit is set.  Column a of the
+    (words, z) result is bit a's row P_a, word-major so that popcounts sum
+    over the leading axis: bit a weighs 1 + popcount(P_a) and, by
+    linearity, the pair (a, b) weighs 2 + popcount(P_a ^ P_b).
     """
-    flips = np.zeros((legs.shape[0], m), dtype=np.uint8)
-    np.put_along_axis(flips, legs, 1, axis=1)   # a bit's legs hit distinct rows
-    packed = np.packbits(np.bitwise_xor.accumulate(flips, axis=1), axis=1)
-    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return np.ascontiguousarray(packed.view(np.uint64).T)
+    run = m - legs - np.arange(0, m, 64)[:, None, None]
+    k = np.minimum(np.maximum(run, 0), 64).astype(np.uint64)
+    half = k >> 1
+    return np.bitwise_xor.reduce(~(np.uint64(2**64 - 1) << half << (k - half)), axis=2)
 
 
-def _min_weight(parities):
-    """Lightest popcount among the packed rows, summed over the leading axis."""
-    return int(np.bitwise_count(parities).sum(axis=0).min())
+def _weights(parities):
+    """Popcounts summed over the leading axis, in the narrowest type that fits."""
+    counts = np.bitwise_count(parities)
+    return counts.sum(axis=0, dtype=np.min_scalar_type(64 * len(counts)))
 
 
 def _group_degrees(info_groups, q, num, den):
@@ -299,26 +291,22 @@ def _group_degrees(info_groups, q, num, den):
 
 
 # layout search: random class combinations compared per group, shift
-# draws per group before the whole layout is redrawn, and whole redraws
+# draws per group before the whole layout is redrawn, whole redraws, and
+# the XORed parity words the weight screen holds at once (512 KiB)
 _CLASS_SAMPLES = 8
 _GROUP_TRIES = 300
 _LAYOUT_RESTARTS = 8
+_SCREEN_WORDS = 1 << 16
 
 
-def _pick_classes(q, deg, used, rng):
-    """Class combination for one group, preferring unloaded class pairs."""
+def _pick_classes(q, deg, load, rng):
+    """Class combination for one group, preferring unloaded class pairs:
+    ``load`` is zero unless v1 < v2, so a sample's submatrix sums its pairs."""
     if deg >= q:
         return np.arange(q)
-    best = None
-    for _ in range(_CLASS_SAMPLES):
-        classes = np.sort(rng.choice(q, size=deg, replace=False))
-        load = sum(
-            len(used.get((int(classes[a]), int(classes[b])), ()))
-            for a in range(deg) for b in range(a + 1, deg)
-        )
-        if best is None or load < best[0]:
-            best = (load, classes)
-    return best[1]
+    samples = np.sort([rng.choice(q, size=deg, replace=False)
+                       for _ in range(_CLASS_SAMPLES)], axis=1)
+    return samples[np.argmin(load[samples[:, :, None], samples[:, None]].sum(axis=(1, 2)))]
 
 
 def _pick_shifts(classes, used, z, q, rng):
@@ -330,66 +318,74 @@ def _pick_shifts(classes, used, z, q, rng):
     the (0, q-1) pair (both put one bit on two consecutive check rows).
     Returns None when a class has no shift left.
     """
-    deg = classes.size
-    shifts = np.empty(deg, dtype=np.int64)
-    for j in range(deg):
-        cj = int(classes[j])
-        ok = np.ones(z, dtype=bool)
-        for i in range(j):
-            ci, ui = int(classes[i]), int(shifts[i])
-            for d in used.get((ci, cj), ()):
-                ok[(ui - d) % z] = False
+    shifts = []
+    for cj in classes:
+        banned = set()
+        for ci, ui in zip(classes, shifts):
+            banned.update((ui - d) % z for d in used.get((ci, cj), ()))
             if cj == ci + 1:
-                ok[ui] = False
+                banned.add(ui)
             if (ci, cj) == (0, q - 1):
-                ok[(ui - 1) % z] = False
-        cand = np.flatnonzero(ok)
-        if cand.size == 0:
+                banned.add((ui - 1) % z)
+        cand = [u for u in range(z) if u not in banned]
+        if not cand:
             return None
-        shifts[j] = int(rng.choice(cand))
+        shifts.append(cand[rng.integers(0, len(cand))])
     return shifts
 
 
 def _search_layout(q, z, rng, degrees):
     """Draw class/shift placements satisfying girth and weight screens.
 
-    Returns the ``_leg_rows`` of each information bit group, or None
-    when the geometry cannot be satisfied.  A group's legs sit in
+    Returns the check rows of each information bit group, (z, degree),
+    or None when the geometry cannot be satisfied.  A group's legs sit in
     distinct residue classes, so no two legs of a group can collide and
     cross-group 4-cycles reduce to repeated in-class shift differences
     per class pair.  Staircase 4-cycles need a bit covering two
     consecutive rows, i.e. equal in-class shifts on consecutive classes
     (or u_first = u_last + 1 across the row-index wrap), and are
-    excluded the same way.
+    excluded the same way.  The weight screen XORs a try's prefix parities
+    pairwise in one broadcast and against all placed bits in blocks; it
+    draws nothing, so every try's draws fix the stream after it.
     """
     m = q * z
     # short parity chains cannot support the 2 + 2q target, so cap by m
     w_floor = max(6, min(2 + 2 * q, m // 12))
-    i, j = np.triu_indices(z, k=1)
+    words = -(-m // 64)
+    step = max(1, _SCREEN_WORDS // (words * z))     # placed bits per block
     for _ in range(_LAYOUT_RESTARTS):
         used = {}                           # (v1, v2) -> set of shift diffs
+        load = np.zeros((q, q), dtype=np.int64)     # len(used[v1, v2])
         layout = []
-        placed = []                         # prefix parities per placed group
-        for deg in degrees:
+        placed = np.empty((words, len(degrees) * z), dtype=np.uint64)
+        for g, deg in enumerate(degrees):
+            done = placed[:, :g * z]
             for _try in range(_GROUP_TRIES):
-                classes = _pick_classes(q, deg, used, rng)
+                classes = _pick_classes(q, deg, load, rng).tolist()
                 shifts = _pick_shifts(classes, used, z, q, rng)
                 if shifts is None:
                     continue
-                legs = _leg_rows(classes, shifts, z, q)
+                # bit c's leg in class v, shift u, is on row ((c+u) mod z)*q + v:
+                # consecutive bits land q rows apart, so the parity runs they
+                # start stay >= q long and light codewords rare
+                legs = (np.arange(z)[:, None] + shifts) % z * q + classes
                 par = _prefix_parities(legs, m)
-                # its single bits, pairs within it and pairs with placed bits
-                if (1 + _min_weight(par) < w_floor
-                        or 2 + _min_weight(par[:, i] ^ par[:, j]) < w_floor
-                        or any(2 + _min_weight(par[:, :, None] ^ other[:, None]) < w_floor
-                               for other in placed)):
+                # its single bits, pairs within it (less a bit with itself)
+                # and pairs with placed bits, a block at a time
+                own = _weights(par[:, :, None] ^ par[:, None])
+                np.fill_diagonal(own, m)
+                blocks = (done[:, None, s:s + step] for s in range(0, done.shape[1], step))
+                if (_weights(par).min() < w_floor - 1 or own.min() < w_floor - 2
+                        or any(_weights(par[:, :, None] ^ blk).min() < w_floor - 2
+                               for blk in blocks)):
                     continue
                 for a in range(deg):
                     for b in range(a + 1, deg):
-                        pair = (int(classes[a]), int(classes[b]))
-                        used.setdefault(pair, set()).add(int((shifts[a] - shifts[b]) % z))
+                        pair = classes[a], classes[b]
+                        used.setdefault(pair, set()).add((shifts[a] - shifts[b]) % z)
+                        load[pair] += 1             # an unbanned difference is new
                 layout.append(legs)
-                placed.append(par)
+                placed[:, g * z:(g + 1) * z] = par
                 break
             else:                           # no try placed this group: redraw all
                 break
@@ -401,21 +397,22 @@ def _search_layout(q, z, rng, degrees):
 def generate_code(n, rate, seed=0):
     """Generate a quasi-cyclic IRA code of length n at the given rate.
 
-    ``rate`` is one of the strings "1/3", "1/2", "2/3", "3/4", "5/6" and
-    "9/10".  Information bits are organized in groups of Z; each group
-    gets degree-1 legs in distinct row-residue classes mod q (q = rows /
-    Z), so consecutive bits of a group land q rows apart and their parity
-    runs through the accumulator stay long.  Group degrees follow a
-    rate-dependent irregular profile (most groups at 3, a fraction
-    higher) when the geometry has enough classes.  Class/shift draws
-    come from a seeded generator and are re-drawn until the girth
-    constraints hold (distinct in-class shift differences per class
-    pair, no bit covering two consecutive rows) and every 1- and
+    ``n`` and ``seed`` are nonnegative integers, ``rate`` one of "1/3",
+    "1/2", "2/3", "3/4", "5/6" and "9/10".  Information bits are organized
+    in groups of Z; each group gets degree-1 legs in distinct row-residue
+    classes mod q (q = rows / Z), so consecutive bits of a group land q
+    rows apart and their parity runs through the accumulator stay long.
+    Group degrees follow a rate-dependent irregular profile (most groups
+    at 3, a fraction higher) when the geometry has enough classes.
+    Class/shift draws come from a seeded generator and are re-drawn until
+    the girth constraints hold (distinct in-class shift differences per
+    class pair, no bit covering two consecutive rows) and every 1- and
     2-info-bit codeword clears a weight floor scaled to q, which removes
     the construction's dominant undetected-error words.  The accumulator
     is a prefix XOR, so these weights are popcounts of each bit's packed
     prefix parities and of the XOR of two such rows.
     """
+    _require_nonnegative_ints(n=n, seed=seed)
     if rate not in _RATES:
         raise ValueError(f"unsupported rate {rate!r}")
     num, den = _RATES[rate]
@@ -553,13 +550,16 @@ def encode(code, info_bits):
 
     Parity follows the accumulator recursion p_j = s_j xor p_{j-1} where
     s_j is the parity of the information bits on check row j.  Encodes
-    every length-k row of ``info_bits`` (shape (..., k)).
+    every length-k row of ``info_bits`` (shape (..., k), entries 0 or 1).
     """
     if code.encoder != "staircase":
         raise ValueError(f"code {code.name!r} has no systematic encoder")
-    info = np.asarray(info_bits, dtype=np.uint8)
+    info = np.asarray(info_bits)
     if info.shape[-1:] != (code.k,):
         raise ValueError(f"info length must be k = {code.k}")
+    if np.any((info != 0) & (info != 1)):
+        raise ValueError("info bits must be 0 or 1")
+    info = info.astype(np.uint8, copy=False)
     # the info edges, in row order, form one segment per row; a zero
     # column appended keeps every segment start a valid index
     info_edges = code.row_cols < code.k
@@ -715,10 +715,7 @@ def decode(code, lvalues, max_iter=50, restarts=0):
     returned.  With ``restarts=0`` (the default) the decoder is plain
     flooding BP, bit for bit.
     """
-    for name, value in (("max_iter", max_iter), ("restarts", restarts)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < 0):
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    _require_nonnegative_ints(max_iter=max_iter, restarts=restarts)
     lam = np.asarray(lvalues, dtype=float)
     if lam.shape != (code.n,):
         raise ValueError(f"need n = {code.n} L-values")

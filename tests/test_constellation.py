@@ -88,6 +88,14 @@ def test_modulate_roundtrip():
     labels = draw_labels(pmf, 1000, rng)
     bits = con.labels_to_bits(labels)
     assert np.array_equal(con.bits_to_labels(bits), labels)
+    assert np.array_equal(con.bits_to_labels(bits.astype(bool)), labels)
+    with pytest.raises(ValueError, match="0 or 1"):
+        con.bits_to_labels([[2, 0, 0, 0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        con.bits_to_labels([[0, -1, 0, 0]])
+    for shape in ((1000, 3), (1000, 5), ()):
+        with pytest.raises(ValueError, match="0 or 1 on the last axis"):
+            con.bits_to_labels(np.zeros(shape, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 16])
