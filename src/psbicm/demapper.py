@@ -31,12 +31,13 @@ extrinsic L-values; the largest difference measured against the masked
 per-subset form is 1.1e-13, over 16- to 256-QAM and the PAS presets at
 assumed SNRs of 0 to 45 dB.
 
-A demap run is captured as an :class:`LValueTrace` — flattened
-(bit, tributary, L-value) records plus the metadata the metric estimators
-need (s, the true-to-assumed SNR ratio, per-tributary priors, the symbol
-entropy, and the quantizer if one was applied).  Traces serialize to one
-little-endian binary format (``.lvt``), which is also the ingestion path
-for externally captured L-values; reading one validates every field.
+A demap run is captured as an :class:`LValueTrace` — the bits and
+L-values of whole symbols, symbol-major, so tributary ids and m follow
+from bar_m, plus the metadata the metric estimators need (s, the
+true-to-assumed SNR ratio, per-tributary priors, the symbol entropy, and
+the quantizer if one was applied).  Traces serialize to one little-endian
+format (``.lvt``) of (bit, tributary, L-value) records, also the ingestion
+path for external L-values; reading one validates every field.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -251,13 +252,25 @@ def bitwise_lvalues(y, constellation, pmf, config):
     return lam
 
 
+def _sign_flipped(values, bits):
+    """(-1)^bit * value, exact: a set bit flips the sign bit (of -0.0 too).
+
+    ``values`` holds one value per position, or one per tributary."""
+    flip = bits.astype(np.uint64)
+    flip <<= 63
+    rows = flip.reshape(-1, np.size(values))
+    rows ^= np.asarray(values, dtype=np.float64).view(np.uint64)
+    return flip.view(np.float64)
+
+
 @dataclass(frozen=True)
 class LValueTrace:
-    """Flattened record of one demap run.
+    """Flattened record of one demap run over square QAM.
 
-    ``bits``/``lvalues``/``tributaries`` are parallel arrays; tributary
-    ids are 1-based.  ``scale`` is the s the L-values were computed with,
-    ``scale_opt`` the true-to-assumed SNR ratio of the run (1 when
+    ``bits`` and ``lvalues`` are parallel and hold whole symbols of
+    m = 2 * bar_m bits, symbol-major: position p lies on tributary
+    p % bar_m + 1 (1-based).  ``scale`` is the s the L-values were computed
+    with, ``scale_opt`` the true-to-assumed SNR ratio of the run (1 when
     matched), ``priors`` the per-tributary prior L-values and ``h_b`` the
     transmitted symbol entropy in bits per 2-D symbol.  ``quantizer`` is
     set iff the stored L-values lie on its lattice.
@@ -265,8 +278,6 @@ class LValueTrace:
 
     bits: np.ndarray
     lvalues: np.ndarray
-    tributaries: np.ndarray
-    m: int
     bar_m: int
     scale: float
     scale_opt: float
@@ -275,18 +286,14 @@ class LValueTrace:
     quantizer: Quantizer | None = None
 
     def __post_init__(self):
-        if not (self.bits.shape == self.lvalues.shape == self.tributaries.shape):
-            raise ValueError("bits, lvalues and tributaries must have equal shape")
-        if self.tributaries.size and (
-            self.tributaries.min() < 1 or self.tributaries.max() > self.bar_m
-        ):
-            raise ValueError("tributary ids out of range")
-        if len(self.priors) != self.bar_m:
-            raise ValueError("need one prior per tributary")
-        if self.bar_m < 1 or self.m < 1 or self.m % self.bar_m:
-            raise ValueError(f"m = {self.m} must be a positive multiple of "
-                             f"bar_m = {self.bar_m}")
-        if self.bits.size and (self.bits.max() > 1 or self.bits.min() < 0):
+        if self.bits.ndim != 1 or self.bits.shape != self.lvalues.shape:
+            raise ValueError("bits and lvalues must be 1-D arrays of equal length")
+        if self.bar_m < 1 or self.n == 0 or self.n % self.m:
+            raise ValueError(f"need whole symbols: n = {self.n} must be a positive "
+                             f"multiple of m = 2 * bar_m = {self.m}, bar_m >= 1")
+        if len(self.priors) != self.bar_m or not np.all(np.isfinite(self.priors)):
+            raise ValueError(f"need one finite prior per tributary, got {self.priors}")
+        if self.bits.max() > 1 or self.bits.min() < 0:
             raise ValueError("bits must be 0 or 1")
         if not np.isfinite(self.h_b):
             raise ValueError(f"symbol entropy h_b must be finite, got {self.h_b}")
@@ -303,53 +310,39 @@ class LValueTrace:
         return self.bits.size
 
     @property
+    def m(self):
+        return 2 * self.bar_m
+
+    @property
+    def tributaries(self):
+        """Tributary id of each position, a fresh uint8 tile of 1..bar_m."""
+        return np.tile(np.arange(1, self.bar_m + 1, dtype=np.uint8), self.n // self.bar_m)
+
+    @property
     def s_ratio(self):
         """Default rescaling s_o/s for the mismatch-corrected estimators."""
         return self.scale_opt / self.scale
 
-    @cached_property
-    def tributary_counts(self):
-        """Read-only positions per tributary, shape (bar_m,), counted once.
-
-        Raises ValueError when a tributary holds no position, since no
-        tributary mean exists then.
-        """
-        counts = np.bincount(self.tributaries, minlength=self.bar_m + 1)[1:]
-        if not counts.all():
-            raise ValueError("trace has empty tributaries")
-        counts.setflags(write=False)
-        return counts
-
     def asymmetric(self):
-        """Asymmetric L-values (-1)^bit * L: positive when the sign is right.
-
-        A set bit flips the sign bit of L, so the result is exact and equals
-        the negation bit for bit, signed zeros included.
-        """
-        flip = self.bits.astype(np.uint64)
-        flip <<= 63
-        flip ^= np.asarray(self.lvalues, dtype=np.float64).view(np.uint64)
-        return flip.view(np.float64)
+        """Asymmetric L-values (-1)^bit * L, exact: positive when the sign is right."""
+        return _sign_flipped(self.lvalues, self.bits)
 
 
 def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):
-    """Assemble an LValueTrace from (n_sym, m) bit and L-value matrices.
+    """Assemble an LValueTrace from (n_sym, pmf.m) bit and L-value matrices.
 
-    Flattening is symbol-major; tributary of position p is p % bar_m + 1.
+    Flattening is symbol-major, the layout ``LValueTrace`` describes.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     lvalues = np.asarray(lvalues, dtype=float)
     if bits.shape != lvalues.shape or bits.ndim != 2:
         raise ValueError("bits and lvalues must be matching (n_sym, m) matrices")
-    n_sym, m = bits.shape
-    bar_m = pmf.bar_m
-    trib = np.tile((np.arange(m) % bar_m + 1).astype(np.uint8), n_sym)
+    if bits.shape[1] != pmf.m:
+        raise ValueError(f"need m = {pmf.m} bits per symbol, got {bits.shape[1]}")
     return LValueTrace(
         bits=bits.ravel(),
         lvalues=lvalues.ravel(),
-        tributaries=trib,
-        m=m,
-        bar_m=bar_m,
+        bar_m=pmf.bar_m,
         scale=float(scale),
         scale_opt=float(scale_opt),
         priors=pmf.log_priors,
@@ -419,7 +412,8 @@ def read_trace(path):
     """Read a binary trace; raises ValueError on a malformed file.
 
     Bad magic, an unknown version or flag, a size that does not match the
-    header (truncation or trailing bytes) and every check of
+    header (truncation or trailing bytes), m != 2 * bar_m, tributary ids
+    off the layout, quantized L-values off the lattice and every check of
     ``LValueTrace`` are all rejected.
     """
     with open(path, "rb") as f:
@@ -431,6 +425,8 @@ def read_trace(path):
         raise ValueError(f"unsupported trace version {version}")
     if flags & ~1:
         raise ValueError(f"unknown trace flags {flags:#x}")
+    if m != 2 * bar_m:
+        raise ValueError(f"header has m = {m}, but square QAM has m = 2 * bar_m = {2 * bar_m}")
     off = _HEAD.size + 8 * bar_m + (_QUANT.size if flags & 1 else 0)
     size = off + n * _REC_DTYPE.itemsize
     if len(data) < size:
@@ -443,11 +439,15 @@ def read_trace(path):
         n_levels, step = _QUANT.unpack_from(data, _HEAD.size + 8 * bar_m)
         quantizer = Quantizer(n_levels=n_levels, step=step)
     rec = np.frombuffer(data, dtype=_REC_DTYPE, count=n, offset=off)
-    return LValueTrace(
-        bits=rec["bit"].copy(), lvalues=rec["lvalue"].copy(),
-        tributaries=rec["trib"].copy(), m=m, bar_m=bar_m, scale=scale,
-        scale_opt=scale_opt, priors=priors, h_b=h_b, quantizer=quantizer,
-    )
+    trace = LValueTrace(bits=rec["bit"].copy(), lvalues=rec["lvalue"].copy(), bar_m=bar_m,
+                        scale=scale, scale_opt=scale_opt, priors=priors, h_b=h_b,
+                        quantizer=quantizer)
+    if not np.array_equal(rec["trib"], trace.tributaries):
+        raise ValueError("tributary ids off the symbol-major layout p % bar_m + 1")
+    lv = trace.lvalues
+    if quantizer is not None and not np.array_equal(quantizer.apply(lv), lv):
+        raise ValueError(f"quantized L-values off the lattice of {quantizer}")
+    return trace
 
 
 # --- consistency diagnostics --------------------------------------------
@@ -481,11 +481,8 @@ def consistency_check(trace):
     ratio = trace.s_ratio
     results = []
     for t in range(1, trace.bar_m + 1):
-        sel = trace.tributaries == t
-        l = trace.lvalues[sel]
-        b = trace.bits[sel]
-        if l.size == 0:
-            continue
+        l = trace.lvalues[t - 1::trace.bar_m]
+        b = trace.bits[t - 1::trace.bar_m]
         lo, hi = np.quantile(l, [0.001, 0.999])
         if hi <= lo:
             continue

@@ -35,6 +35,7 @@ the reruns per frame; its default 0 is exactly the flooding decoder.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -292,7 +293,7 @@ def _group_degrees(info_groups, q, num, den):
 
 # layout search: random class combinations compared per group, shift
 # draws per group before the whole layout is redrawn, whole redraws, and
-# the XORed parity words the weight screen holds at once (512 KiB)
+# the parity words one block of the weight screen XORs (512 KiB)
 _CLASS_SAMPLES = 8
 _GROUP_TRIES = 300
 _LAYOUT_RESTARTS = 8
@@ -345,14 +346,16 @@ def _search_layout(q, z, rng, degrees):
     consecutive rows, i.e. equal in-class shifts on consecutive classes
     (or u_first = u_last + 1 across the row-index wrap), and are
     excluded the same way.  The weight screen XORs a try's prefix parities
-    pairwise in one broadcast and against all placed bits in blocks; it
-    draws nothing, so every try's draws fix the stream after it.
+    pairwise and against all placed bits, in blocks of at most
+    ``_SCREEN_WORDS`` words; it draws nothing, so every try's draws fix
+    the stream after it.
     """
     m = q * z
     # short parity chains cannot support the 2 + 2q target, so cap by m
     w_floor = max(6, min(2 + 2 * q, m // 12))
     words = -(-m // 64)
-    step = max(1, _SCREEN_WORDS // (words * z))     # placed bits per block
+    step = max(1, _SCREEN_WORDS // (words * z))     # bits per block
+    itself = m * np.eye(z, dtype=np.int32)  # a bit paired with itself passes
     for _ in range(_LAYOUT_RESTARTS):
         used = {}                           # (v1, v2) -> set of shift diffs
         load = np.zeros((q, q), dtype=np.int64)     # len(used[v1, v2])
@@ -370,14 +373,14 @@ def _search_layout(q, z, rng, degrees):
                 # start stay >= q long and light codewords rare
                 legs = (np.arange(z)[:, None] + shifts) % z * q + classes
                 par = _prefix_parities(legs, m)
-                # its single bits, pairs within it (less a bit with itself)
-                # and pairs with placed bits, a block at a time
-                own = _weights(par[:, :, None] ^ par[:, None])
-                np.fill_diagonal(own, m)
-                blocks = (done[:, None, s:s + step] for s in range(0, done.shape[1], step))
-                if (_weights(par).min() < w_floor - 1 or own.min() < w_floor - 2
-                        or any(_weights(par[:, :, None] ^ blk).min() < w_floor - 2
-                               for blk in blocks)):
+                # its single bits, then its pairs within it and with placed
+                # bits, a block at a time
+                own = (_weights(par[:, s:s + step, None] ^ par[:, None]) + itself[s:s + step]
+                       for s in range(0, z, step))
+                cross = (_weights(par[:, :, None] ^ done[:, None, s:s + step])
+                         for s in range(0, done.shape[1], step))
+                if (_weights(par).min() < w_floor - 1
+                        or any(w.min() < w_floor - 2 for w in itertools.chain(own, cross))):
                     continue
                 for a in range(deg):
                     for b in range(a + 1, deg):

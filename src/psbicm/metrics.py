@@ -29,8 +29,8 @@ identities between them (achievable-FEC-rate = ASI at s_d = s_o/s,
 fixed-scaling GMI = Delta_H) hold exactly on a common trace, not just
 statistically.  Each estimator takes the trace's asymmetric L-values as
 ``la`` when the caller already has them (``trace.asymmetric()``, never
-modified), so a full report builds them once; the tributary counts come
-from ``trace.tributary_counts``, counted once per trace.
+modified), so a full report builds them once.  A trace holds whole
+symbols: position p is on tributary p % bar_m + 1, of n / bar_m positions.
 
 Every full-length temporary of a search or cost pass comes from one
 float64 workspace per thread: a scaling search's three rows (d/count,
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import _entropy_bits
-from .demapper import quantize_trace
+from .demapper import _sign_flipped, quantize_trace
 
 _LN2 = np.log(2.0)
 SEARCH_LO = 1e-3
@@ -115,11 +115,12 @@ def soft_bit_cost(x):
     return _soft_bit_cost(x, np.empty_like(x), np.empty_like(x))[()]   # float64 when 0-d
 
 
-def _mean_cost_by_tributary(x_asym, tributaries, counts, pos, out):
+def _mean_cost_by_tributary(x_asym, bar_m, pos, out):
     # single shared reduction: every estimator that must satisfy an exact
-    # cross-identity computes its means through this path
+    # cross-identity computes its means through this path, in position order
     f = _soft_bit_cost(x_asym, pos, out)
-    return np.bincount(tributaries, weights=f, minlength=counts.size + 1)[1:] / counts
+    count = f.size // bar_m
+    return np.bincount(np.tile(np.arange(bar_m), count), weights=f, minlength=bar_m) / count
 
 
 def _asym(trace, la):
@@ -131,10 +132,10 @@ def _uncertainty(trace, cond):
     return (trace.m / trace.bar_m) * float(cond.sum())
 
 
-def _minimize_scaling(base, direction, tributaries, counts, s0):
+def _minimize_scaling(base, direction, bar_m, s0):
     """Minimize C(s) = sum_i mean_i f(base + s*direction); base None is 0.
 
-    ``counts`` holds the positions per tributary, none of them zero.
+    ``direction`` follows the trace layout: count = size / bar_m per tributary.
 
     Safeguarded Newton on [SEARCH_LO, SEARCH_HI] from ``s0``.  With
     p = 1/(1 + e^x), C' = -sum_i mean_i(p*d)/ln2 and C'' =
@@ -145,10 +146,8 @@ def _minimize_scaling(base, direction, tributaries, counts, s0):
     (s, C(s) from the shared tributary reduction, at_boundary).
     """
     w1, w2, work = _workspace(3, direction.size)   # work: x, then p, then p^2
-    # d/count and d^2/count make the tributary means dot products; "clip"
-    # since take's default mode fills a copy of ``out``
-    np.take(1.0 / counts, tributaries - 1, out=w1, mode="clip")
-    w1 *= direction
+    # d/count and d^2/count make the tributary means dot products
+    np.multiply(direction, 1.0 / (direction.size // bar_m), out=w1)
     np.multiply(w1, direction, out=w2)
     lo, hi = SEARCH_LO, SEARCH_HI
     s = min(max(float(s0), lo), hi)
@@ -179,7 +178,7 @@ def _minimize_scaling(base, direction, tributaries, counts, s0):
     np.multiply(direction, s, out=work)
     if base is not None:
         work += base
-    cost = float(_mean_cost_by_tributary(work, tributaries, counts, w1, work).sum())
+    cost = float(_mean_cost_by_tributary(work, bar_m, w1, work).sum())
     return s, cost, s - SEARCH_LO < 2 * SEARCH_XTOL or SEARCH_HI - s < 2 * SEARCH_XTOL
 
 
@@ -195,8 +194,8 @@ def asi_mc(trace, s_ratio=None, *, la=None):
     ``s_ratio`` defaults to the trace's s_o/s, which on SNR-mismatched
     traces restores the matched value; pass 1.0 to evaluate the L-values
     exactly as the decoder would see them.  The expectation weights
-    tributaries equally, which for the equal-occupancy traces produced
-    here is the plain pooled mean.
+    tributaries equally; every tributary of a trace holds n / bar_m
+    positions, so this is the pooled mean up to the order of the sums.
     """
     if s_ratio is None:
         s_ratio = trace.s_ratio
@@ -215,7 +214,7 @@ def tributary_conditional_entropies(trace, s_ratio=1.0, *, la=None):
     la = _asym(trace, la)
     pos, out = _workspace(2, la.size)
     x = la if s_ratio == 1.0 else np.multiply(la, s_ratio, out=out)   # 1.0 * la is la
-    return _mean_cost_by_tributary(x, trace.tributaries, trace.tributary_counts, pos, out)
+    return _mean_cost_by_tributary(x, trace.bar_m, pos, out)
 
 
 @dataclass(frozen=True)
@@ -226,13 +225,8 @@ class GmiResult:
 
 
 def _asymmetric_priors(trace):
-    # (-1)^b L^pr: one gather from [0, L^pr, -L^pr] at tributary + bar_m * bit,
-    # indexed in the narrowest type that holds 2 * bar_m (uint8 for real formats)
-    pri = np.asarray(trace.priors, dtype=float)
-    dt = np.result_type(trace.bits, trace.tributaries, np.min_scalar_type(2 * trace.bar_m))
-    idx = np.multiply(trace.bits, trace.bar_m, dtype=dt)
-    idx += trace.tributaries
-    return np.concatenate(([0.0], pri, -pri))[idx]
+    # (-1)^b L^pr: the priors along the layout, sign bits flipped as in la
+    return _sign_flipped(trace.priors, trace.bits)
 
 
 def gmi_from_trace(trace, s="optimize", *, la=None):
@@ -258,15 +252,13 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
     prior_a = _asymmetric_priors(trace)
     extr_a = _asym(trace, la) - prior_a
     extr_a /= trace.scale
-    counts = trace.tributary_counts
     boundary = False
     if s == "optimize":
-        s, cost, boundary = _minimize_scaling(prior_a, extr_a, trace.tributaries,
-                                              counts, trace.scale_opt)
+        s, cost, boundary = _minimize_scaling(prior_a, extr_a, trace.bar_m, trace.scale_opt)
     else:
         extr_a *= s
         extr_a += prior_a                   # prior + s * extrinsic
-        cost = float(_mean_cost_by_tributary(extr_a, trace.tributaries, counts,
+        cost = float(_mean_cost_by_tributary(extr_a, trace.bar_m,
                                              _workspace(1, extr_a.size)[0], extr_a).sum())
     return GmiResult(gmi_bits=trace.h_b - (trace.m / trace.bar_m) * cost, scale=s,
                      at_boundary=boundary)
@@ -295,9 +287,8 @@ def r_fec_star(trace, s_d="optimize", *, la=None):
     equals the (mismatch-corrected) ASI exactly.
     """
     if s_d == "optimize":
-        sd, cost, boundary = _minimize_scaling(
-            None, _asym(trace, la), trace.tributaries, trace.tributary_counts,
-            trace.s_ratio)
+        sd, cost, boundary = _minimize_scaling(None, _asym(trace, la), trace.bar_m,
+                                               trace.s_ratio)
         u_star = (trace.m / trace.bar_m) * cost
     else:
         if not s_d > 0:

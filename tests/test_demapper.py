@@ -1,4 +1,6 @@
+import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +231,33 @@ def test_trace_binary_roundtrip(tmp_path):
         assert back.quantizer == tr.quantizer
 
 
+# the v1 ``.lvt`` bytes of two hand-built traces (16-QAM layout, L-values
+# chosen here, not demapped), so the pins do not depend on the host's exp
+_PIN_PMF = SimpleNamespace(m=4, bar_m=2, log_priors=np.array([0.5, -1.25]), entropy=3.5)
+_PIN_BITS = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]], np.uint8)
+LVT_PINS = {
+    "plain": "4531e3423e356182aee1415f540cd8cab7175f316c95047f69dd198f7c795575",
+    "quantized": "189fe740be240f0d24b206d93a02645808932cd26819b8086c3114d29bb91c56",
+}
+
+
+def test_trace_format_is_pinned(tmp_path):
+    plain = np.array([[2.5, -0.125, 3.0, 0.0], [-7.75, 1.0, 0.5, -0.0],
+                      [12.0, -3.5, 0.25, -1.5]])
+    lattice = np.array([[0.25, -0.75, 1.75, -1.75], [-0.25, 0.75, 1.25, -1.25],
+                        [1.75, 0.25, -0.25, 0.75]])
+    traces = {
+        "plain": make_trace(_PIN_BITS, plain, _PIN_PMF, scale=0.5, scale_opt=2.0),
+        "quantized": make_trace(_PIN_BITS, lattice, _PIN_PMF, quantizer=Quantizer(8, 0.5)),
+    }
+    for name, tr in traces.items():
+        p = tmp_path / f"{name}.lvt"
+        write_trace(p, tr)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == LVT_PINS[name], name
+        back = read_trace(p)
+        assert np.array_equal(back.lvalues.view(np.uint64), tr.lvalues.view(np.uint64))
+
+
 def test_trace_bad_files(tmp_path):
     p = tmp_path / "bad.lvt"
     p.write_bytes(b"NOPE" + b"\0" * 64)
@@ -263,7 +292,9 @@ def test_trace_malformed_fields_rejected(tmp_path):
 
     cases = {
         "bits must be 0 or 1": patched(rec0, b"\x02"),
-        "positive multiple of": patched(16, struct.pack("<H", 5)),
+        "m = 2 \\* bar_m = 6": patched(16, struct.pack("<H", 5)),
+        "off the symbol-major layout": patched(rec0 + 1, b"\x02"),
+        "one finite prior per tributary": patched(rec0 - 8, struct.pack("<d", float("nan"))),
         "h_b must be finite": patched(36, struct.pack("<d", float("nan"))),
         "scale must be finite and > 0": patched(20, struct.pack("<d", float("nan"))),
         "scale_opt must be finite and > 0": patched(28, struct.pack("<d", float("inf"))),
@@ -281,22 +312,33 @@ def test_trace_malformed_fields_rejected(tmp_path):
 def test_trace_validation():
     with pytest.raises(ValueError):
         LValueTrace(
-            bits=np.zeros(4, np.uint8), lvalues=np.zeros(3),
-            tributaries=np.ones(4, np.uint8), m=2, bar_m=1, scale=1.0,
+            bits=np.zeros(4, np.uint8), lvalues=np.zeros(3), bar_m=1, scale=1.0,
             scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bar_m >= 1"):
         LValueTrace(
-            bits=np.zeros(4, np.uint8), lvalues=np.zeros(4),
-            tributaries=np.full(4, 5, np.uint8), m=2, bar_m=1, scale=1.0,
-            scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
+            bits=np.zeros(4, np.uint8), lvalues=np.zeros(4), bar_m=0, scale=1.0,
+            scale_opt=1.0, priors=np.zeros(0), h_b=2.0,
         )
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         LValueTrace(
-            bits=np.array([0, -1, 1, 0]), lvalues=np.zeros(4),
-            tributaries=np.ones(4, np.uint8), m=2, bar_m=1, scale=1.0,
+            bits=np.array([0, -1, 1, 0]), lvalues=np.zeros(4), bar_m=1, scale=1.0,
             scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
         )
+
+
+def test_quantized_trace_off_its_lattice_rejected(tmp_path):
+    # the quantizer flag says the L-values lie on its lattice, which has no
+    # zero; the last 8 bytes of a trace file are the last record's L-value
+    p = tmp_path / "q.lvt"
+    write_trace(p, _small_trace(Quantizer(16, 1.0)))
+    good = p.read_bytes()
+    for off_lattice in (0.0, 1.0, -2.25):
+        p.write_bytes(good[:-8] + struct.pack("<d", off_lattice))
+        with pytest.raises(ValueError, match="off the lattice of Quantizer"):
+            read_trace(p)
+    p.write_bytes(good[:-8] + struct.pack("<d", -2.5))
+    assert read_trace(p).lvalues[-1] == -2.5
 
 
 def _qpsk_trace(snr_db, assumed_db, scale=1.0, n=1_000_000, seed=17):

@@ -96,8 +96,7 @@ def test_scaling_search_interior_and_boundary():
     # one tributary of nine +1 and one -1: C(s) = 0.9 f(s) + 0.1 f(-s) has
     # its minimum where e^s = 9
     d = np.array([1.0] * 9 + [-1.0])
-    x, fx, at_boundary = _minimize_scaling(None, d, np.ones(10, np.uint8),
-                                           np.array([10]), s0=1.0)
+    x, fx, at_boundary = _minimize_scaling(None, d, 1, s0=1.0)
     assert x == pytest.approx(np.log(9.0), abs=1e-9)
     assert fx == pytest.approx(0.9 * soft_bit_cost(np.log(9.0))
                                + 0.1 * soft_bit_cost(-np.log(9.0)), abs=1e-14)
@@ -107,9 +106,8 @@ def test_scaling_search_interior_and_boundary():
     rng = np.random.default_rng(5)
     base = rng.normal(0.5, 1.0, 4000)
     d = rng.normal(1.0, 2.0, 4000)
-    tribs = np.tile([1, 2], 2000).astype(np.uint8)
-    counts = np.array([2000, 2000])
-    x, fx, at_boundary = _minimize_scaling(base, d, tribs, counts, s0=50.0)
+    tribs = np.tile([1, 2], 2000)           # the layout of bar_m = 2
+    x, fx, at_boundary = _minimize_scaling(base, d, 2, s0=50.0)
 
     def cost(s):
         f = soft_bit_cost(base + s * d)
@@ -120,27 +118,23 @@ def test_scaling_search_interior_and_boundary():
     assert fx <= min(cost(x * (1 - 1e-6)), cost(x * (1 + 1e-6)))
 
     # every sign right: C falls for ever and the search stops at the top
-    x, _, at_boundary = _minimize_scaling(None, np.abs(d) + 0.1, tribs, counts, s0=1.0)
+    x, _, at_boundary = _minimize_scaling(None, np.abs(d) + 0.1, 2, s0=1.0)
     assert at_boundary and x == pytest.approx(SEARCH_HI, rel=1e-9)
     # every extrinsic sign wrong: C rises from s = 0 and the search stops at the bottom
-    x, _, at_boundary = _minimize_scaling(np.full(4000, 2.0), -np.abs(d) - 0.1,
-                                          tribs, counts, s0=1.0)
+    x, _, at_boundary = _minimize_scaling(np.full(4000, 2.0), -np.abs(d) - 0.1, 2, s0=1.0)
     assert at_boundary and x == pytest.approx(SEARCH_LO, abs=1e-9)
 
 
-def test_tributary_counts_once_per_trace():
+def test_trace_of_whole_symbols_only():
+    # every tributary holds n / bar_m positions, so every estimator has its
+    # means; an empty trace, or one that ends inside a symbol, is rejected
+    # when it is made
     tr = simulate_trace(6, 12.0, 1_000, seed=7)
-    assert tr.tributary_counts.tolist() == [2000, 2000, 2000]
-    assert tr.tributary_counts is tr.tributary_counts
-    assert not tr.tributary_counts.flags.writeable
-    # every position on tributary 1 of 2: no estimator has a mean to take
-    empty = LValueTrace(bits=np.zeros(4, np.uint8), lvalues=np.ones(4),
-                        tributaries=np.ones(4, np.uint8), m=2, bar_m=2, scale=1.0,
-                        scale_opt=1.0, priors=np.zeros(2), h_b=2.0)
-    for estimator in (compute_report, asi_mc, gmi_from_trace, r_fec_star,
-                      tributary_conditional_entropies):
-        with pytest.raises(ValueError, match="empty tributaries"):
-            estimator(empty)
+    assert tr.m == 6 and np.bincount(tr.tributaries)[1:].tolist() == [2000, 2000, 2000]
+    for n in (0, 2, 6, 4 * 5 + 2):
+        with pytest.raises(ValueError, match="positive multiple of m = 2 \\* bar_m = 4"):
+            LValueTrace(bits=np.zeros(n, np.uint8), lvalues=np.ones(n), bar_m=2,
+                        scale=1.0, scale_opt=1.0, priors=np.zeros(2), h_b=2.0)
 
 
 def test_asymmetric_values_and_priors_are_the_negations_bit_for_bit():
@@ -150,9 +144,8 @@ def test_asymmetric_values_and_priors_are_the_negations_bit_for_bit():
     bits, lv = tr.bits.copy(), tr.lvalues.copy()
     bits[:24] = np.tile([0, 0, 1, 1], 6)
     lv[:24] = np.tile([0.0, -0.0], 12)
-    tr = LValueTrace(bits=bits, lvalues=lv, tributaries=tr.tributaries, m=tr.m,
-                     bar_m=tr.bar_m, scale=tr.scale, scale_opt=tr.scale_opt,
-                     priors=tr.priors, h_b=tr.h_b)
+    tr = LValueTrace(bits=bits, lvalues=lv, bar_m=tr.bar_m, scale=tr.scale,
+                     scale_opt=tr.scale_opt, priors=tr.priors, h_b=tr.h_b)
     where_la = np.where(tr.bits == 0, tr.lvalues, -tr.lvalues)
     assert np.array_equal(tr.asymmetric().view(np.uint64), where_la.view(np.uint64))
     masked_pri = tr.priors[tr.tributaries - 1]
@@ -255,9 +248,9 @@ def test_reports_in_concurrent_threads_equal_the_sequential_ones():
 def test_a_second_report_takes_no_fresh_search_or_cost_row(kwargs, rows):
     # once a report has grown the workspace, one on a trace of the same
     # length allocates rows of 8n bytes only for the asymmetric L-values,
-    # numpy's intp copy of the uint8 tributary ids (bincount, take) and,
-    # with a GMI search, its prior and extrinsic rows; fresh search and
-    # cost rows would add two to four more
+    # the intp tributary index p % bar_m that bincount sums by and, with a
+    # GMI search, its prior and extrinsic rows; fresh search and cost rows
+    # would add two to four more
     a, b = (simulate_trace(6, 12.0, 5_000, seed=s, **kwargs) for s in (31, 32))
     compute_report(a, r_c=0.5)
     tracemalloc.start()
