@@ -47,10 +47,9 @@ def gray_pam_levels(bar_m):
     the module docstring.
     """
     n = 1 << bar_m
+    rank = np.arange(n)            # rank 0 = most positive level
     lev = np.empty(n, dtype=np.int64)
-    for rank in range(n):          # rank 0 = most positive level
-        label = rank ^ (rank >> 1)
-        lev[label] = (n - 1) - 2 * rank
+    lev[rank ^ (rank >> 1)] = (n - 1) - 2 * rank
     return lev
 
 
@@ -173,6 +172,23 @@ class SymbolPmf:
         """Joint label entropy H(B) in bits per 2-D symbol."""
         return _entropy_bits(self.p)
 
+    @cached_property
+    def label_buckets(self):
+        """(cdf, first, edge) of ``draw_labels``; ``cdf`` is ``rng.choice``'s.
+
+        Bucket b of 4096 holds the variates in [b, b + 1) / 4096.  They draw
+        ``first[b]``, plus 1 at or above its one cdf step ``edge[b]`` (inf
+        if none); ``first[b]`` is -1 where the bucket has more steps.
+        """
+        cdf = np.cumsum(self.p)
+        cdf /= cdf[-1]
+        bounds = np.arange(4097) / 4096
+        first = np.searchsorted(cdf, bounds[:-1], side="right")
+        steps = np.searchsorted(cdf, bounds[1:], side="left") - first
+        edge = np.where(steps == 1, cdf[first], np.inf)     # first < cdf.size
+        first[steps > 1] = -1
+        return _read_only(cdf), _read_only(first), _read_only(edge)
+
 
 @dataclass(frozen=True)
 class EntropyStats:
@@ -241,5 +257,15 @@ def square_qam(m, amplitude_pmf=None):
 
 
 def draw_labels(pmf, n_symbols, rng):
-    """Draw i.i.d. label indices from a SymbolPmf."""
-    return rng.choice(pmf.p.size, size=n_symbols, p=pmf.p)
+    """Draw i.i.d. label indices from a SymbolPmf.
+
+    Exactly ``rng.choice(pmf.p.size, size=n_symbols, p=pmf.p)``, the same
+    variates and cdf, but only buckets with several cdf steps search.
+    """
+    cdf, first, edge = pmf.label_buckets
+    u = rng.random(n_symbols)
+    b = (u * first.size).astype(np.intp)     # exact: 4096 buckets, a power of two
+    labels = first[b] + (u >= edge[b])
+    slow = np.flatnonzero(labels < 0)
+    labels[slow] = np.searchsorted(cdf, u[slow], side="right")
+    return labels

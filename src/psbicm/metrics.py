@@ -119,8 +119,13 @@ def _mean_cost_by_tributary(x_asym, bar_m, pos, out):
     # single shared reduction: every estimator that must satisfy an exact
     # cross-identity computes its means through this path, in position order
     f = _soft_bit_cost(x_asym, pos, out)
-    count = f.size // bar_m
-    return np.bincount(np.tile(np.arange(bar_m), count), weights=f, minlength=bar_m) / count
+    trib = np.empty(f.size, dtype=np.intp)        # 0..bar_m-1 repeated, by doubling
+    trib[:bar_m] = range(bar_m)
+    k = bar_m
+    while k < f.size:
+        trib[k:2 * k] = trib[:min(k, f.size - k)]
+        k *= 2
+    return np.bincount(trib, weights=f, minlength=bar_m) / (f.size // bar_m)
 
 
 def _asym(trace, la):

@@ -3,7 +3,8 @@
 A shaped transmitter draws PAM amplitudes from a nonuniform distribution
 while sign bits stay uniform.  This module provides
 
-* Maxwell-Boltzmann amplitude pmfs and named presets,
+* Maxwell-Boltzmann amplitude pmfs and named presets, whose MB scales nu
+  are tabulated, not fitted per call,
 * quantization of a target pmf to an integer composition of block length
   ``n_pam`` (largest-remainder rounding),
 * a constant-composition distribution matcher (CCDM): an invertible
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import comb
 
 import numpy as np
 
@@ -43,53 +44,29 @@ def mb_amplitude_pmf(nu):
     return w / w.sum()
 
 
-def fit_mb_pmf(h_target_2d):
-    """MB pmf whose shaped-QAM entropy H(B) matches ``h_target_2d``.
-
-    ``h_target_2d`` counts bits per 2-D symbol including the two uniform
-    sign bits, i.e. the 1-D amplitude entropy is ``h_target_2d/2 - 1``.
-    Solved by bisection on the (monotone) scale parameter.
-    """
-    h1 = h_target_2d / 2.0 - 1.0
-    if not 0.0 <= h1 <= np.log2(_N_AMPLITUDES):
-        raise ValueError(f"target entropy {h_target_2d} out of range")
-
-    def h_amp(nu):
-        return _entropy_bits(mb_amplitude_pmf(nu))
-
-    lo, hi = 0.0, 1.0
-    while h_amp(hi) > h1:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if h_amp(mid) > h1:
-            lo = mid
-        else:
-            hi = mid
-    return mb_amplitude_pmf(0.5 * (lo + hi))
-
-
-# shaped 8-PAM operating points: MB pmfs entropy-matched to
-# H(B) = 4.124 / 4.604 / 5.226 bits per 2-D; they round to
+# shaped 8-PAM operating points: the MB scales nu, found once by bisection, whose
+# pmfs have H(B) = 2 (1 + H(A)) = 4.124 / 4.604 / 5.226 bits per 2-D; they round to
 # (i) [.698 .262 .037 .002]  (ii) [.611 .304 .076 .009]  (iii) [.494 .325 .141 .040]
-_PRESET_H2D = {"i": 4.124, "ii": 4.604, "iii": 5.226}
+_PRESET_NU = {"i": float.fromhex("0x1.f51da5890887ap-4"),      # H(B) = 4.124
+              "ii": float.fromhex("0x1.644f03c82f6dap-4"),     # H(B) = 4.604
+              "iii": float.fromhex("0x1.ad42676e5fa1ep-5")}    # H(B) = 5.226
 
 
 def amplitude_preset(name):
-    """Named 1-D amplitude pmfs: 'uniform' or shaped presets 'i'/'ii'/'iii'."""
+    """Named 1-D amplitude pmfs: 'uniform', or MB at the tabulated nu of 'i'/'ii'/'iii'."""
     if name == "uniform":
         return np.full(_N_AMPLITUDES, 1.0 / _N_AMPLITUDES)
-    if name in _PRESET_H2D:
-        return fit_mb_pmf(_PRESET_H2D[name])
+    if name in _PRESET_NU:
+        return mb_amplitude_pmf(_PRESET_NU[name])
     raise ValueError(f"unknown amplitude preset {name!r}")
 
 
 def multinomial(counts):
-    """Exact number of distinct sequences with the given symbol counts."""
-    n = int(sum(counts))
-    v = factorial(n)
-    for c in counts:
-        v //= factorial(int(c))
+    """Exact sequence count of the symbol counts: prod_j C(n_1 + ... + n_j, n_j)."""
+    v, n = 1, 0
+    for c in map(int, counts):
+        n += c
+        v *= comb(n, c)
     return v
 
 
@@ -110,7 +87,10 @@ class AmplitudeComposition:
 
     def __post_init__(self):
         alphabet = np.asarray(self.alphabet, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":          # no floats, no bools
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "counts", counts)
         if alphabet.size != counts.size:
@@ -154,23 +134,18 @@ def quantize_pmf(target_pmf, n_pam):
     1, 3, 5, ... in the pmf's order.
     """
     p = np.asarray(target_pmf, dtype=float)
-    if np.any(p < 0) or p.sum() <= 0:
-        raise ValueError("target pmf must be nonnegative with positive sum")
+    if not np.isfinite(p.sum()) or np.any(p < 0) or p.sum() <= 0:
+        raise ValueError("target pmf must be finite and nonnegative with positive sum")
+    if isinstance(n_pam, bool) or not isinstance(n_pam, (int, np.integer)):
+        raise ValueError(f"n_pam must be an integer, got {n_pam!r}")
     if n_pam < p.size:
         raise ValueError("n_pam smaller than alphabet size")
-    p = p / p.sum()
-    t = p * n_pam
+    t = p / p.sum() * n_pam
     counts = np.floor(t).astype(np.int64)
     rem = t - counts
     # stable argsort on (-remainder) keeps index order among ties
-    for i in np.argsort(-rem, kind="stable")[: n_pam - counts.sum()]:
-        counts[i] += 1
+    counts[np.argsort(-rem, kind="stable")[: n_pam - counts.sum()]] += 1
     return AmplitudeComposition(alphabet=2 * np.arange(p.size) + 1, counts=counts)
-
-
-def _sequence_count_after(c_total, count_j, n_rem):
-    # sequences continuing with symbol j: C * c_j / n_rem, exact in integers
-    return c_total * count_j // n_rem
 
 
 def ccdm_encode(payload_bits, composition):
@@ -199,7 +174,8 @@ def ccdm_encode(payload_bits, composition):
         for j, count in enumerate(counts):
             if not count:
                 continue
-            c_j = c_total * count // n_rem    # _sequence_count_after, inlined
+            # sequences continuing with symbol j: C * c_j / n_rem, exact
+            c_j = c_total * count // n_rem
             if r < c_j:
                 out.append(alphabet[j])
                 counts[j] = count - 1
@@ -221,31 +197,23 @@ def ccdm_decode(amplitudes, composition):
     if amps.size != composition.n_pam:
         raise ValueError("sequence length mismatch")
     index_of = {int(a): j for j, a in enumerate(composition.alphabet)}
-    counts = composition.counts.copy()
-    c_total = composition.n_sequences
-    n_rem = composition.n_pam
+    counts = composition.counts.tolist()
+    c_total = c_all = composition.n_sequences
     r = 0
-    for a in amps:
+    for n_rem, a in zip(range(composition.n_pam, 0, -1), amps):
         j = index_of.get(int(a))
         if j is None or counts[j] == 0:
             raise ValueError("sequence violates the composition")
-        for i in range(j):
-            if counts[i]:
-                r += _sequence_count_after(c_total, int(counts[i]), n_rem)
-        c_total = _sequence_count_after(c_total, int(counts[j]), n_rem)
+        r += sum(c_total * c // n_rem for c in counts[:j])    # as in ccdm_encode
+        c_total = c_total * counts[j] // n_rem
         counts[j] -= 1
-        n_rem -= 1
     k = composition.k_ps
-    c_all = composition.n_sequences
     # unique payload with floor(u*C/2^k) == r, since C >= 2^k
     u = -((-(r << k)) // c_all)        # ceil(r * 2^k / C)
     if (u * c_all) >> k != r or u >> k:
         raise ValueError("sequence is not an encoder output")
-    bits = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        bits[i] = u & 1
-        u >>= 1
-    return bits
+    # u's k low bits, MSB first: drop the pad bits of its big-endian bytes
+    return np.unpackbits(np.frombuffer(u.to_bytes(-(-k // 8), "big"), np.uint8))[-k:]
 
 
 def rate_loss(composition):

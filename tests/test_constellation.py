@@ -8,6 +8,7 @@ from psbicm.constellation import (
     gray_pam_levels,
     square_qam,
 )
+from psbicm.shaping import amplitude_preset, quantize_pmf
 
 PAS_I = [0.698, 0.263, 0.037, 0.002]   # shaped 8-PAM amplitude pmf, operating point (i)
 
@@ -129,6 +130,45 @@ def test_symbol_pmf_derived_arrays_cached_read_only():
         assert arr is getattr(pmf, name)
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+def _draw_formats():
+    yield from (square_qam(m)[1] for m in (2, 4, 6, 8))
+    yield from (square_qam(6, amplitude_preset(n))[1] for n in ("i", "ii", "iii"))
+    yield square_qam(6, quantize_pmf(amplitude_preset("i"), 1024).pmf)[1]
+
+
+def test_draw_labels_equals_rng_choice():
+    # labels, dtype and the generator's next draw, bucket fallback included
+    for pmf in _draw_formats():
+        for seed in range(30):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref = ref_rng.choice(pmf.p.size, size=5000, p=pmf.p)
+            labels = draw_labels(pmf, 5000, rng)
+            assert labels.dtype == ref.dtype == np.int64
+            assert np.array_equal(labels, ref)
+            assert rng.random() == ref_rng.random()
+
+
+class _FixedVariates:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+def test_draw_labels_at_cdf_steps_and_bucket_edges():
+    # variates on and just below every cdf step and every bucket edge
+    _, pmf = square_qam(6, amplitude_pmf=PAS_I)
+    cdf = np.cumsum(pmf.p)
+    cdf /= cdf[-1]
+    edges = np.arange(4097) / 4096
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf, 0), edges[:-1], np.nextafter(edges[1:], 0)])
+    labels = draw_labels(pmf, u.size, _FixedVariates(u))
+    assert np.array_equal(labels, np.searchsorted(cdf, u, side="right"))
+    assert (pmf.label_buckets[1] < 0).any()      # some buckets take the search
 
 
 def test_draw_labels_statistics():

@@ -24,6 +24,7 @@ from psbicm.metrics import (
     SEARCH_LO,
     MetricReport,
     _asymmetric_priors,
+    _mean_cost_by_tributary,
     _minimize_scaling,
     asi_floor,
     asi_hist,
@@ -90,6 +91,18 @@ def test_soft_bit_cost_against_logaddexp_form():
     assert np.max(err[normal] / ref[normal]) <= 4.7e-16
     assert got[x == np.inf].tolist() == [0.0] and got[x == -np.inf].tolist() == [np.inf]
     assert soft_bit_cost(0.0) == soft_bit_cost(-0.0) == 1.0
+
+
+@pytest.mark.parametrize("bar_m, n", [(1, 1), (1, 7), (2, 2), (3, 3), (3, 24), (3, 120000),
+                                      (4, 4 * 1001), (4, 2**17)])
+def test_tributary_means_equal_the_tiled_index_form(bar_m, n):
+    # the doubling-built index gives bincount the same ids in the same order
+    x = np.random.default_rng(n).normal(2.0, 3.0, n)
+    f = soft_bit_cost(x)
+    ref = np.bincount(np.tile(np.arange(bar_m), n // bar_m), weights=f,
+                      minlength=bar_m) / (n // bar_m)
+    got = _mean_cost_by_tributary(x, bar_m, np.empty(n), np.empty(n))
+    assert np.array_equal(got, ref)
 
 
 def test_scaling_search_interior_and_boundary():

@@ -1,15 +1,18 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 
-from psbicm.constellation import entropy_stats, square_qam
+from psbicm.constellation import _entropy_bits, entropy_stats, square_qam
 from psbicm.shaping import (
+    _PRESET_NU,
     AmplitudeComposition,
     amplitude_preset,
     amplitudes_to_bits,
     bits_to_amplitudes,
     ccdm_decode,
     ccdm_encode,
-    fit_mb_pmf,
     mb_amplitude_pmf,
     multinomial,
     quantize_pmf,
@@ -23,11 +26,48 @@ def test_mb_pmf_basics():
     assert np.all(np.diff(p) < 0) and p.sum() == pytest.approx(1.0)
 
 
+def fit_mb_nu(h_target_2d):
+    """MB scale nu whose shaped-QAM entropy H(B) matches ``h_target_2d``.
+
+    ``h_target_2d`` counts bits per 2-D symbol including the two uniform
+    sign bits, i.e. the 1-D amplitude entropy is ``h_target_2d/2 - 1``.
+    Solved by bisection on the (monotone) scale parameter: the search
+    that produced the tabulated preset scales.
+    """
+    h1 = h_target_2d / 2.0 - 1.0
+    if not 0.0 <= h1 <= 2.0:
+        raise ValueError(f"target entropy {h_target_2d} out of range")
+
+    def h_amp(nu):
+        return _entropy_bits(mb_amplitude_pmf(nu))
+
+    lo, hi = 0.0, 1.0
+    while h_amp(hi) > h1:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if h_amp(mid) > h1:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_fit_mb_pmf_hits_target():
     for h2d in (4.124, 4.604, 5.226, 5.9):
-        p = fit_mb_pmf(h2d)
+        p = mb_amplitude_pmf(fit_mb_nu(h2d))
         h1 = -(p * np.log2(p)).sum()
         assert 2 * (1 + h1) == pytest.approx(h2d, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, h2d", [("i", 4.124), ("ii", 4.604), ("iii", 5.226)])
+def test_preset_nu_is_the_fitted_scale(name, h2d):
+    # the bisection reproduces the table; np.exp may round differently on
+    # another CPU, so allow 2 ulp
+    nu = _PRESET_NU[name]
+    assert abs(fit_mb_nu(h2d) - nu) <= 2 * np.spacing(nu)
+    assert 2 * (1 + _entropy_bits(mb_amplitude_pmf(nu))) == pytest.approx(h2d, abs=1e-12)
+    assert np.array_equal(amplitude_preset(name), mb_amplitude_pmf(nu))
 
 
 def test_presets_round_to_published_operating_points():
@@ -80,6 +120,20 @@ def test_multinomial():
     assert multinomial([2, 1, 1]) == 12
     assert multinomial([4, 0, 0]) == 1
     assert multinomial([5, 5]) == 252
+
+
+def multinomial_factorials(counts):
+    v = factorial(int(sum(counts)))
+    for c in counts:
+        v //= factorial(int(c))
+    return v
+
+
+def test_multinomial_equals_factorial_form():
+    grid = [list(c) for c in itertools.product(range(4), repeat=3)] + [[0], [7], [0, 5, 0, 3]]
+    grid += [quantize_pmf(amplitude_preset(name), 1024).counts for name in ("i", "ii", "iii")]
+    for counts in grid:
+        assert multinomial(counts) == multinomial_factorials(counts)
 
 
 def test_ccdm_exhaustive_roundtrip_and_composition():
@@ -174,7 +228,6 @@ def test_ccdm_decode_rejects_bad_sequences():
     # a valid constant-composition sequence outside the encoder image:
     # C=6, k=2 -> indices {0,1,3,4} are hit, find a miss
     hit = {tuple(ccdm_encode([(u >> 1) & 1, u & 1], comp)) for u in range(4)}
-    import itertools
     all_seqs = {s for s in itertools.permutations([1, 1, 3, 3])}
     missed = sorted(all_seqs - hit)
     assert missed
@@ -222,3 +275,21 @@ def test_composition_validation():
         AmplitudeComposition(alphabet=np.array([3, 1]), counts=np.array([1, 1]))
     with pytest.raises(ValueError):
         quantize_pmf([0.5, 0.5], 1)
+    with pytest.raises(ValueError, match="integers"):
+        AmplitudeComposition(alphabet=np.array([1, 3]), counts=np.array([1.5, 1]))
+    with pytest.raises(ValueError, match="integers"):
+        AmplitudeComposition(alphabet=np.array([1, 3]), counts=np.array([True, True]))
+
+
+@pytest.mark.parametrize("pmf", [[np.nan, 0.5, 0.3, 0.2], [np.inf, 0.5, 0.3, 0.2],
+                                 [-np.inf, 0.5, 0.3, 0.2]])
+def test_quantize_pmf_rejects_non_finite_pmfs(pmf):
+    with pytest.raises(ValueError, match="finite"):
+        quantize_pmf(pmf, 1024)
+
+
+@pytest.mark.parametrize("n_pam", [1024.5, 1024.0, True, "1024", None])
+def test_quantize_pmf_rejects_non_integer_block_lengths(n_pam):
+    with pytest.raises(ValueError, match="integer"):
+        quantize_pmf([0.5, 0.5], n_pam)
+    assert quantize_pmf([0.5, 0.5], np.int64(8)).counts.tolist() == [4, 4]
