@@ -136,14 +136,14 @@ def _write_json(path, doc):
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _echo_config(args, keys):
-    return {k: getattr(args, k) for k in keys}
+def _echo_config(args):
+    """Every option the subcommand parsed, but its grid and output paths."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("snr_db", "out", "json_out", "fn", "command")}
 
 
 def cmd_sweep(args):
-    cfg = _echo_config(args, ["format", "pmf_preset", "n_pam", "symbols_per_block",
-                              "assumed_snr_offset_db", "scale", "quantizer_levels",
-                              "quantizer_step", "seed", "code_rate", "trace_dir"])
+    cfg = _echo_config(args)
     if cfg["symbols_per_block"] < 10_000:
         raise ValueError("metric runs need at least 10^4 symbols per point")
     if (cfg["quantizer_levels"] is None) != (cfg["quantizer_step"] is None):
@@ -167,10 +167,7 @@ def cmd_sweep(args):
 
 
 def cmd_fecscan(args):
-    cfg = _echo_config(args, ["format", "pmf_preset", "n_pam", "codewords",
-                              "assumed_snr_offset_db", "scale", "mapping",
-                              "mapping_seed", "max_iter", "seed",
-                              "code_file", "rate", "n", "code_seed"])
+    cfg = _echo_config(args)
     if args.code_file and args.rate:
         raise ValueError("give either --code-file or --rate/--n, not both")
     con, pmf, comp = _build_format(cfg)
@@ -201,8 +198,7 @@ def cmd_ingest(args):
     if args.json_out:
         _write_json(args.json_out, {
             "schema": METRICS_SCHEMA,
-            "config": {"trace": args.trace, "code_rate": args.code_rate,
-                       "r_loss": args.r_loss},
+            "config": _echo_config(args),
             "rows": [_json_row(report)],
             "consistency": [{"tributary": c.tributary, "slope": c.slope,
                              "intercept": c.intercept, "coverage": c.coverage}

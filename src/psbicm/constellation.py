@@ -22,6 +22,7 @@ bits of a 2-D label) belongs to tributary ``p % bar_m + 1``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -227,8 +228,8 @@ def square_qam(m, amplitude_pmf=None):
     (Constellation, SymbolPmf)
         Points normalized to unit average 2-D energy under the pmf.
     """
-    if m % 2 or m < 2:
-        raise ValueError("square QAM needs even m >= 2")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m % 2 or m < 2:
+        raise ValueError(f"square QAM needs an even integer m >= 2, got {m!r}")
     bar_m = m // 2
     lev = gray_pam_levels(bar_m).astype(float)
     n_amp = 1 << (bar_m - 1)

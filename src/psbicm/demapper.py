@@ -77,7 +77,7 @@ class Quantizer:
         n = self.n_levels
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2 or n % 2:
             raise ValueError(f"n_levels must be an even integer >= 2, got {n!r}")
-        if not 0 < self.step < np.inf:
+        if isinstance(self.step, (bool, np.bool_)) or not 0 < self.step < np.inf:
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
 
     @property
@@ -122,7 +122,7 @@ class DemapperConfig:
         if not _linear_snr_usable(self.assumed_snr_db):
             raise ValueError("assumed_snr_db must be finite, with a finite, normal linear "
                              f"SNR 10^(assumed_snr_db/10), got {self.assumed_snr_db!r}")
-        if not 0 <= self.scale < math.inf:
+        if isinstance(self.scale, (bool, np.bool_)) or not 0 <= self.scale < math.inf:
             raise ValueError(f"scale must be finite and >= 0, got {self.scale!r}")
 
     @property
@@ -293,7 +293,7 @@ class LValueTrace:
                              f"multiple of m = 2 * bar_m = {self.m}, bar_m >= 1")
         if len(self.priors) != self.bar_m or not np.all(np.isfinite(self.priors)):
             raise ValueError(f"need one finite prior per tributary, got {self.priors}")
-        if self.bits.max() > 1 or self.bits.min() < 0:
+        if np.any((self.bits != 0) & (self.bits != 1)):
             raise ValueError("bits must be 0 or 1")
         if not np.isfinite(self.h_b):
             raise ValueError(f"symbol entropy h_b must be finite, got {self.h_b}")
@@ -333,7 +333,7 @@ def make_trace(bits, lvalues, pmf, scale=1.0, scale_opt=1.0, quantizer=None):
 
     Flattening is symbol-major, the layout ``LValueTrace`` describes.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)                 # checked as 0 or 1 by LValueTrace, not cast
     lvalues = np.asarray(lvalues, dtype=float)
     if bits.shape != lvalues.shape or bits.ndim != 2:
         raise ValueError("bits and lvalues must be matching (n_sym, m) matrices")

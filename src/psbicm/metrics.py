@@ -32,19 +32,8 @@ statistically.  Each estimator takes the trace's asymmetric L-values as
 modified), so a full report builds them once.  A trace holds whole
 symbols: position p is on tributary p % bar_m + 1, of n / bar_m positions.
 
-Every full-length temporary of a search or cost pass comes from one
-float64 workspace per thread: a scaling search's three rows (d/count,
-d^2/count, and x, then p; its final cost pass reuses them), the soft bit
-cost's two, and the s_o/s-scaled copy of the ASI in the cost's result
-row (no copy at s_o/s = 1, where 1.0 * l_a is l_a).  The workspace grows
-to three rows of the largest trace seen and is kept.  For the largest
-pooled trace of the acceptance suite's waterfall study (criterion 09),
-3000 frames of n = 1008 (3.02M L-values), that is 72.6 MB.  So a report
-on a trace no larger than one seen before takes no fresh search or cost
-row, and its time no longer depends on the heap its caller left.  The
-GMI's asymmetric prior and extrinsic rows stay fresh: kept in the
-workspace they saved no page faults and held 0.9 MB more.  Public
-functions return fresh arrays; no view of the workspace escapes.
+A search or cost pass allocates its own full-length rows and the module
+keeps none between calls; public functions return fresh arrays.
 
 f is evaluated in the second form above, on numpy's vectorized ``exp``
 and ``log1p``.  These are the branches ``np.logaddexp(0, -x)`` takes, on
@@ -62,7 +51,6 @@ optimum is the global one, and an optimum at a bracket end is flagged.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -75,20 +63,6 @@ _LN2 = np.log(2.0)
 SEARCH_LO = 1e-3
 SEARCH_HI = 1e2
 SEARCH_XTOL = 1e-4      # an optimum within 2*SEARCH_XTOL of an end is flagged
-
-_local = threading.local()      # .buf: this thread's workspace buffer
-
-
-def _workspace(rows, n):
-    """``rows`` float64 rows of length n from this thread's workspace.
-
-    One buffer per thread, grown to the largest ``rows * n`` requested
-    and kept; the contents are whatever the last pass left.
-    """
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < rows * n:
-        buf = _local.buf = np.empty(rows * n)
-    return buf[:rows * n].reshape(rows, n)
 
 
 def _soft_bit_cost(x, pos, out):
@@ -128,6 +102,14 @@ def _mean_cost_by_tributary(x_asym, bar_m, pos, out):
     return np.bincount(trib, weights=f, minlength=bar_m) / (f.size // bar_m)
 
 
+def _scaling(name, value, lowest=">"):
+    # a finite scaling factor > 0 (or >= 0) as a float; a bool is no number here
+    if (isinstance(value, (bool, np.bool_)) or not value < np.inf
+            or not (value > 0 if lowest == ">" else value >= 0)):
+        raise ValueError(f"{name} must be finite and {lowest} 0, got {value!r}")
+    return float(value)
+
+
 def _asym(trace, la):
     return trace.asymmetric() if la is None else la
 
@@ -150,7 +132,7 @@ def _minimize_scaling(base, direction, bar_m, s0):
     touches the bracket end cannot set off bisection.  Returns
     (s, C(s) from the shared tributary reduction, at_boundary).
     """
-    w1, w2, work = _workspace(3, direction.size)   # work: x, then p, then p^2
+    w1, w2, work = np.empty((3, direction.size))   # work: x, then p, then p^2
     # d/count and d^2/count make the tributary means dot products
     np.multiply(direction, 1.0 / (direction.size // bar_m), out=w1)
     np.multiply(w1, direction, out=w2)
@@ -204,8 +186,6 @@ def asi_mc(trace, s_ratio=None, *, la=None):
     """
     if s_ratio is None:
         s_ratio = trace.s_ratio
-    if not s_ratio > 0:
-        raise ValueError("s_ratio must be positive")
     cond = tributary_conditional_entropies(trace, s_ratio, la=la)
     return 1.0 - _uncertainty(trace, cond) / trace.m
 
@@ -214,10 +194,11 @@ def tributary_conditional_entropies(trace, s_ratio=1.0, *, la=None):
     """Per-tributary estimates of H(B_i | Y), in bits.
 
     Mean soft bit cost of the (optionally rescaled) asymmetric L-values,
-    grouped by tributary; shape (bar_m,).
+    grouped by tributary; shape (bar_m,).  ``s_ratio`` is finite and > 0.
     """
+    s_ratio = _scaling("s_ratio", s_ratio)
     la = _asym(trace, la)
-    pos, out = _workspace(2, la.size)
+    pos, out = np.empty((2, la.size))
     x = la if s_ratio == 1.0 else np.multiply(la, s_ratio, out=out)   # 1.0 * la is la
     return _mean_cost_by_tributary(x, trace.bar_m, pos, out)
 
@@ -246,9 +227,7 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
     exactly.
     """
     if s != "optimize":
-        s = float(s)
-        if s < 0:
-            raise ValueError("s must be >= 0")
+        s = _scaling("s", s, ">=")
         if s == trace.scale:
             cond = tributary_conditional_entropies(trace, la=la)
             return GmiResult(gmi_bits=trace.h_b - _uncertainty(trace, cond), scale=s,
@@ -263,8 +242,8 @@ def gmi_from_trace(trace, s="optimize", *, la=None):
     else:
         extr_a *= s
         extr_a += prior_a                   # prior + s * extrinsic
-        cost = float(_mean_cost_by_tributary(extr_a, trace.bar_m,
-                                             _workspace(1, extr_a.size)[0], extr_a).sum())
+        cost = float(_mean_cost_by_tributary(extr_a, trace.bar_m, np.empty_like(extr_a),
+                                             extr_a).sum())
     return GmiResult(gmi_bits=trace.h_b - (trace.m / trace.bar_m) * cost, scale=s,
                      at_boundary=boundary)
 
@@ -296,9 +275,7 @@ def r_fec_star(trace, s_d="optimize", *, la=None):
                                                trace.s_ratio)
         u_star = (trace.m / trace.bar_m) * cost
     else:
-        if not s_d > 0:
-            raise ValueError("s_d must be positive")
-        sd = float(s_d)
+        sd = _scaling("s_d", s_d)
         cond = tributary_conditional_entropies(trace, sd, la=la)
         u_star, boundary = _uncertainty(trace, cond), False
     return RfecResult(
@@ -392,9 +369,9 @@ def compute_report(trace, quantizer=None, r_c=None, r_loss=0.0):
     With zero priors at s = 1 one scaling search serves the GMI and
     R*_fec: ``gmi_scale == decoder_scale``, NGMI = R*_fec up to rounding.
     """
-    if r_c is not None and not 0.0 < r_c <= 1.0:
+    if r_c is not None and (isinstance(r_c, (bool, np.bool_)) or not 0.0 < r_c <= 1.0):
         raise ValueError(f"code rate must be in (0, 1], got {r_c!r}")
-    if not 0.0 <= r_loss < np.inf:
+    if isinstance(r_loss, (bool, np.bool_)) or not 0.0 <= r_loss < np.inf:
         raise ValueError(f"rate loss must be finite and >= 0, got {r_loss!r}")
     h_b, m = trace.h_b, trace.m
     la = trace.asymmetric()

@@ -35,6 +35,7 @@ at once except where a generator or the decoder is per frame:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,9 @@ def transmit(code, constellation, n_frames, *, composition=None,
     mapping and labelling run on all frames at once.  Amplitudes left
     over from the last matcher codeword are dropped.
     """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
+    if isinstance(n_frames, bool) or not isinstance(n_frames, numbers.Integral) or n_frames < 1:
+        raise ValueError(f"need at least one frame: n_frames must be an integer >= 1, "
+                         f"got {n_frames!r}")
     bar_m = constellation.bar_m
     n, k = code.n, code.k
     if n % (2 * bar_m):

@@ -22,6 +22,7 @@ inverse at any block length, with no register-width bookkeeping.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -70,6 +71,14 @@ def multinomial(counts):
     return v
 
 
+def _int64s(name, values):
+    """``values`` as an int64 array; any entry that is not an integer, a bool too, is refused."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in np.asarray(values, dtype=object).ravel()):
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return np.asarray(values).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class AmplitudeComposition:
     """Fixed histogram of amplitudes for one shaping codeword.
@@ -86,11 +95,8 @@ class AmplitudeComposition:
     counts: np.ndarray
 
     def __post_init__(self):
-        alphabet = np.asarray(self.alphabet, dtype=np.int64)
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":          # no floats, no bools
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64)
+        alphabet = _int64s("alphabet", self.alphabet)
+        counts = _int64s("counts", self.counts)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "counts", counts)
         if alphabet.size != counts.size:
@@ -136,8 +142,9 @@ def quantize_pmf(target_pmf, n_pam):
     p = np.asarray(target_pmf, dtype=float)
     if not np.isfinite(p.sum()) or np.any(p < 0) or p.sum() <= 0:
         raise ValueError("target pmf must be finite and nonnegative with positive sum")
-    if isinstance(n_pam, bool) or not isinstance(n_pam, (int, np.integer)):
-        raise ValueError(f"n_pam must be an integer, got {n_pam!r}")
+    # up to 2**53 the scaled pmf's floors are exact, and their sum fits an int64
+    if isinstance(n_pam, bool) or not isinstance(n_pam, (int, np.integer)) or n_pam > 1 << 53:
+        raise ValueError(f"n_pam must be an integer <= 2**53, got {n_pam!r}")
     if n_pam < p.size:
         raise ValueError("n_pam smaller than alphabet size")
     t = p / p.sum() * n_pam
@@ -163,6 +170,8 @@ def ccdm_encode(payload_bits, composition):
     bits = np.asarray(payload_bits).ravel()
     if bits.size != k:
         raise ValueError(f"payload must have {k} bits, got {bits.size}")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("payload bits must be 0 or 1")
     # packbits pads the last byte with zeros on the right
     u = int.from_bytes(np.packbits(bits.astype(bool)).tobytes(), "big") >> (-k % 8)
     c_total = composition.n_sequences

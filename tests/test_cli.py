@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, validation exits, round trips."""
 
+import argparse
 import json
 
 import pytest
@@ -229,6 +230,32 @@ def test_ingest_consistency_slopes(tmp_path):
         slopes.append(fit["slope"])
     assert slopes[0] == pytest.approx(1.0, rel=0.05)
     assert slopes[1] == pytest.approx(10 ** 0.3, rel=0.05)
+
+
+def _option_dests(command):
+    # the destinations of one subcommand's options, as its parser defines them
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.dest for a in sub._actions if a.dest != "help"}
+
+
+def test_json_documents_echo_every_option_but_the_grid_and_outputs(tmp_path):
+    tdir = tmp_path / "traces"
+    runs = {
+        "sweep": ["--format", "qpsk", "--snr-db", "2", "--symbols-per-block", "10000",
+                  "--trace-dir", str(tdir)],
+        "fecscan": ["--format", "qpsk", "--snr-db", "8", "--rate", "1/2", "--n", "96",
+                    "--codewords", "2"],
+        "ingest": ["--trace", str(tdir / "point_000.lvt")],
+    }
+    for command, argv in runs.items():
+        jout = tmp_path / f"{command}.json"
+        assert main([command, *argv, "--out", str(tmp_path / "x.csv"),
+                     "--json-out", str(jout)]) == 0
+        echoed = set(json.loads(jout.read_text())["config"])
+        if command == "fecscan":
+            echoed.remove("code_rate")                  # the loaded code's rate
+        assert echoed == _option_dests(command) - {"snr_db", "out", "json_out"}
 
 
 def test_ingest_rejects_garbage(tmp_path):

@@ -114,6 +114,13 @@ def test_labels_to_bits_equals_the_shift_form(m):
     assert np.array_equal(con.labels_to_bits(labels.T), ref.transpose(1, 0, 2))
 
 
+def test_square_qam_names_an_m_that_is_no_even_integer():
+    for m in (4.0, True, 3, 0, "4"):
+        with pytest.raises(ValueError, match="square QAM needs an even integer m >= 2"):
+            square_qam(m)
+    assert square_qam(np.int64(4))[0].m == 4
+
+
 def test_symbol_pmf_validation():
     with pytest.raises(ValueError):
         SymbolPmf(p_dim=np.array([0.5, 0.6]), bar_m=1)

@@ -172,7 +172,7 @@ def test_quantizer_validation():
     for n in (16.0, True, "16", None):
         with pytest.raises(ValueError, match="n_levels"):
             Quantizer(n_levels=n, step=1.0)
-    for step in (np.inf, -np.inf, np.nan):
+    for step in (np.inf, -np.inf, np.nan, True, np.True_):
         with pytest.raises(ValueError, match="step"):
             Quantizer(n_levels=16, step=step)
     assert Quantizer(np.int64(16), np.float64(6.75)).l_max == 50.625
@@ -187,7 +187,7 @@ def test_demapper_config_validation():
             DemapperConfig(assumed_snr_db=db)
     for db in (3082.0, -3076.0):
         assert 0 < DemapperConfig(assumed_snr_db=db).assumed_snr_linear < np.inf
-    for scale in (-1.0, np.inf, np.nan):
+    for scale in (-1.0, np.inf, np.nan, True, np.False_):
         with pytest.raises(ValueError, match="scale must be finite and >= 0"):
             DemapperConfig(assumed_snr_db=0.0, scale=scale)
     assert DemapperConfig(assumed_snr_db=-60.0, scale=0.0).scale == 0.0
@@ -325,6 +325,16 @@ def test_trace_validation():
             bits=np.array([0, -1, 1, 0]), lvalues=np.zeros(4), bar_m=1, scale=1.0,
             scale_opt=1.0, priors=np.zeros(1), h_b=2.0,
         )
+    # bits inside [0, 1] that are neither: a sign flip would read 0.5 as 0
+    _, pmf = square_qam(2)
+    for bits in (np.array([0.0, 0.5, 1.0, 0.0]), np.array([0, 1, 1, 0.999])):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            LValueTrace(bits=bits, lvalues=np.zeros(4), bar_m=1, scale=1.0,
+                        scale_opt=1.0, priors=np.zeros(1), h_b=2.0)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            make_trace(bits.reshape(2, 2), np.zeros((2, 2)), pmf)
+    tr = make_trace(np.array([[0.0, 1.0], [True, False]]), np.ones((2, 2)), pmf)
+    assert tr.asymmetric().tolist() == [1.0, -1.0, -1.0, 1.0]
 
 
 def test_quantized_trace_off_its_lattice_rejected(tmp_path):

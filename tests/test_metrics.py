@@ -1,5 +1,4 @@
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -203,7 +202,7 @@ def _bits(report):
     return [np.float64(getattr(report, f.name)).tobytes() for f in fields(report)]
 
 
-def _workspace_traces():
+def _report_traces():
     # shaped and uniform at s = 0.8 (both with a GMI search), mismatched
     # uniform and quantized, of four different lengths
     return [simulate_trace(6, 12.0, 2_000, seed=21, amplitude_pmf=PAS_II),
@@ -212,30 +211,10 @@ def _workspace_traces():
             simulate_trace(2, 3.0, 1_500, seed=24, scale=0.8)]
 
 
-def test_workspace_keeps_no_state_between_reports():
-    # a new thread starts with no workspace: A grows it, the larger B grows
-    # it again, the smaller C leaves B's values past its end, and A's
-    # second report must not see any of them, nor NaNs written over all
-    a, b, c, _ = _workspace_traces()
-    got = []
-
-    def run():
-        for tr in (a, b, c, a):
-            got.append(_bits(compute_report(tr, r_c=0.5)))
-            metrics_module._local.buf.fill(np.nan)
-
-    t = threading.Thread(target=run)
-    t.start()
-    t.join(timeout=120)
-    assert not t.is_alive() and len(got) == 4
-    assert got[0] == got[3] == _bits(compute_report(a, r_c=0.5))
-    assert got[1] == _bits(compute_report(b, r_c=0.5))
-
-
 def test_reports_in_concurrent_threads_equal_the_sequential_ones():
-    # more threads than cores, each with its own workspace, on every trace
-    # in a different order; a short switch interval interleaves them often
-    traces = _workspace_traces()
+    # more threads than cores, each running reports on every trace in a
+    # different order; a short switch interval interleaves them often
+    traces = _report_traces()
     expected = [_bits(compute_report(tr, r_c=0.5)) for tr in traces]
     order = [np.roll(np.arange(len(traces)), k).tolist() * 3 for k in range(4)]
 
@@ -254,25 +233,24 @@ def test_reports_in_concurrent_threads_equal_the_sequential_ones():
         assert got == [expected[i] for i in idx]
 
 
-@pytest.mark.parametrize("kwargs, rows", [(dict(), 2), (dict(assumed_snr_db=9.0), 2),
-                                          (dict(amplitude_pmf=PAS_II), 4),
-                                          (dict(scale=0.8), 4)],
+@pytest.mark.parametrize("kwargs, rows", [(dict(), 5), (dict(assumed_snr_db=9.0), 5),
+                                          (dict(amplitude_pmf=PAS_II), 7),
+                                          (dict(scale=0.8), 7)],
                          ids=["matched", "mismatched", "shaped", "scaled"])
-def test_a_second_report_takes_no_fresh_search_or_cost_row(kwargs, rows):
-    # once a report has grown the workspace, one on a trace of the same
-    # length allocates rows of 8n bytes only for the asymmetric L-values,
-    # the intp tributary index p % bar_m that bincount sums by and, with a
-    # GMI search, its prior and extrinsic rows; fresh search and cost rows
-    # would add two to four more
-    a, b = (simulate_trace(6, 12.0, 5_000, seed=s, **kwargs) for s in (31, 32))
-    compute_report(a, r_c=0.5)
+def test_a_report_peaks_at_its_own_rows_and_keeps_none(kwargs, rows):
+    # at its peak a report holds rows of 8n bytes for the asymmetric
+    # L-values, the intp tributary index p % bar_m that bincount sums by
+    # and a search's three rows; a GMI search adds its prior and extrinsic
+    # rows.  Once it returns, nothing of that is left.
+    tr = simulate_trace(6, 12.0, 5_000, seed=31, **kwargs)
     tracemalloc.start()
     try:
-        compute_report(b, r_c=0.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        compute_report(tr, r_c=0.5)
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (rows + 0.5) * 8 * b.n
+    assert peak < (rows + 0.5) * 8 * tr.n
+    assert left < 0.1 * 8 * tr.n
 
 
 def test_pre_fec_ber_hand_built():
@@ -307,8 +285,11 @@ def test_asi_equals_pooled_mean():
     tr = simulate_trace(6, 12.0, 20_000, seed=11, amplitude_pmf=PAS_II)
     pooled = 1.0 - float(np.mean(soft_bit_cost(tr.asymmetric())))
     assert asi_mc(tr, s_ratio=1.0) == pytest.approx(pooled, abs=1e-12)
-    with pytest.raises(ValueError):
-        asi_mc(tr, s_ratio=0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="s_ratio must be finite and > 0"):
+            asi_mc(tr, s_ratio=bad)
+        with pytest.raises(ValueError, match="s_ratio must be finite and > 0"):
+            tributary_conditional_entropies(tr, bad)
 
 
 def test_gmi_at_trace_scale_equals_delta_h_exactly():
@@ -326,8 +307,9 @@ def test_rfec_at_matched_scaling_equals_asi_exactly():
     assert tr.s_ratio == pytest.approx(10 ** 0.3, rel=1e-12)
     r = r_fec_star(tr, s_d=tr.s_ratio)
     assert r.r_fec_star - asi_mc(tr) == 0.0
-    with pytest.raises(ValueError):
-        r_fec_star(tr, s_d=0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="s_d must be finite and > 0"):
+            r_fec_star(tr, s_d=bad)
 
 
 def _qpsk_gmi_oracle(snr_db):
@@ -442,8 +424,9 @@ def test_gmi_zero_scaling_uniform_qpsk():
     tr = simulate_trace(2, 4.0, 5_000, seed=31)
     # uniform priors carry no information: GMI(0) is exactly zero
     assert gmi_from_trace(tr, s=0.0).gmi_bits == 0.0
-    with pytest.raises(ValueError):
-        gmi_from_trace(tr, s=-1.0)
+    for bad in (-1.0, np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="s must be finite and >= 0"):
+            gmi_from_trace(tr, s=bad)
 
 
 def test_ngmi_tracks_asi_when_matched():
@@ -560,10 +543,10 @@ def test_report_fields_and_serialization():
 
 def test_report_rejects_bad_rates():
     tr = simulate_trace(2, 3.0, 1_000, seed=79)
-    for r_c in (0.0, -0.5, 1.5, np.nan, np.inf):
+    for r_c in (0.0, -0.5, 1.5, np.nan, np.inf, True):
         with pytest.raises(ValueError, match="code rate"):
             compute_report(tr, r_c=r_c)
-    for r_loss in (-1.0, -1e-300, np.nan, np.inf):
+    for r_loss in (-1.0, -1e-300, np.nan, np.inf, False):
         with pytest.raises(ValueError, match="rate loss"):
             compute_report(tr, r_c=0.5, r_loss=r_loss)
     assert compute_report(tr, r_c=1.0).info_rate == tr.h_b

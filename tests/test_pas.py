@@ -270,6 +270,14 @@ def test_stream_validation():
     transmit(low, con, 1)                             # fine for uniform signaling
 
 
+def test_run_coded_point_names_a_frame_count_that_is_no_integer():
+    con, pmf = square_qam(2)
+    code = generate_code(96, "1/2", seed=11)
+    for n_frames in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="n_frames must be an integer >= 1"):
+            run_coded_point(code, con, pmf, 8.0, n_frames)
+
+
 def test_run_coded_point_clean_regime():
     con, pmf = square_qam(2)
     code = generate_code(96, "1/2", seed=11)

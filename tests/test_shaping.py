@@ -217,6 +217,11 @@ def test_ccdm_payload_length_check():
     comp = quantize_pmf([0.5, 0.5], 8)
     with pytest.raises(ValueError):
         ccdm_encode(np.zeros(comp.k_ps + 1, dtype=np.uint8), comp)
+    for bad in (2, -1, 0.5):
+        payload = np.zeros(comp.k_ps)
+        payload[0] = bad
+        with pytest.raises(ValueError, match="payload bits must be 0 or 1"):
+            ccdm_encode(payload, comp)
 
 
 def test_ccdm_decode_rejects_bad_sequences():
@@ -279,6 +284,21 @@ def test_composition_validation():
         AmplitudeComposition(alphabet=np.array([1, 3]), counts=np.array([1.5, 1]))
     with pytest.raises(ValueError, match="integers"):
         AmplitudeComposition(alphabet=np.array([1, 3]), counts=np.array([True, True]))
+    # np.asarray([True, 2]) is the int64 array [1, 2]: each entry is checked
+    for counts in ([True, 2, 1, 1], [1, 2, 1, np.True_], [1, 2.0, 1, 1]):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            AmplitudeComposition(alphabet=[1, 3, 5, 7], counts=counts)
+    with pytest.raises(ValueError, match="alphabet must be integers"):
+        AmplitudeComposition(alphabet=[1, 3, 5.5, 7], counts=[1, 2, 1, 1])
+    comp = AmplitudeComposition(alphabet=[1, 3, 5, 7], counts=[np.int64(4), 2, 1, 1])
+    assert comp.counts.dtype == np.int64 and comp.counts.tolist() == [4, 2, 1, 1]
+
+
+def test_quantize_pmf_names_a_block_length_beyond_2_pow_53():
+    # the suite turns warnings into errors, so an int64 cast warning first fails
+    for n_pam in (2 ** 70, np.uint64(2 ** 63), 2 ** 53 + 1):
+        with pytest.raises(ValueError, match=r"n_pam must be an integer <= 2\*\*53"):
+            quantize_pmf([0.5, 0.5], n_pam)
 
 
 @pytest.mark.parametrize("pmf", [[np.nan, 0.5, 0.3, 0.2], [np.inf, 0.5, 0.3, 0.2],
