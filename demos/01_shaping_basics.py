@@ -15,7 +15,7 @@ from psbicm import (amplitude_preset, entropy_stats, quantize_pmf, rate_loss,
 
 print("shaped 8-PAM amplitude presets (amplitudes 1, 3, 5, 7):")
 for name in ("uniform", "i", "ii", "iii"):
-    p = amplitude_preset(name)
+    p = np.full(4, 0.25) if name == "uniform" else amplitude_preset(name)
     print(f"  {name:>7s}  " + "  ".join(f"{x:.3f}" for x in p))
 
 # --- symbol entropies at N_pam = 1024 -----------------------------------
@@ -46,9 +46,9 @@ for n_pam in (128, 256, 512, 1024, 2048, 4096):
 
 # shaping concentrates mass on the inner rings, so at fixed unit average
 # energy the shaped constellation spreads its points further apart
-for name in ("uniform", "i"):
-    comp = quantize_pmf(amplitude_preset(name), 1024)
-    con, pmf = square_qam(6, amplitude_pmf=comp.pmf)
+formats = {"uniform": square_qam(6),
+           "i": square_qam(6, amplitude_pmf=quantize_pmf(amplitude_preset("i"), 1024).pmf)}
+for name, (con, pmf) in formats.items():
     d = np.min(np.abs(con.points[:, None] - con.points[None, :])
                + np.eye(con.points.size))
     e = np.sum(pmf.p * np.abs(con.points) ** 2)

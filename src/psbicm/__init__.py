@@ -71,7 +71,6 @@ from .pas import (
     transmit,
     CodedPointResult,
     run_coded_point,
-    frame_lvalues,
 )
 
 __version__ = "0.1.0"

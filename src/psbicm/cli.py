@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -35,11 +36,11 @@ import numpy as np
 from .channel import ChannelConfig, awgn
 from .constellation import draw_labels, square_qam
 from .demapper import (DemapperConfig, Quantizer, consistency_check, demap_to_trace,
-                       read_trace, write_trace)
-from .fec import generate_code, read_alist, reference_code, write_alist
+                       quantize_trace, read_trace, write_trace)
+from .fec import MAPPING_KINDS, generate_code, read_alist, reference_code, write_alist
 from .metrics import MetricReport, compute_report
 from .pas import CodedPointResult, run_coded_point
-from .shaping import amplitude_preset, quantize_pmf, rate_loss
+from .shaping import _PRESET_NU, amplitude_preset, quantize_pmf, rate_loss
 
 _FORMATS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
 
@@ -51,8 +52,10 @@ def _parse_grid(text):
     """SNR grid from 'a,b,c' or 'start:stop:step' (stop inclusive)."""
     if ":" in text:
         parts = [float(t) for t in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise ValueError("range grid must be start:stop:step with step > 0")
+        if (len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0
+                or not math.isfinite((parts[1] - parts[0]) / parts[2])):
+            raise ValueError("--snr-db range grid must be start:stop:step, finite, with "
+                             f"step > 0 and a finite number of points, got {text!r}")
         lo, hi, step = parts
         n = int(np.floor((hi - lo) / step + 1e-9)) + 1
         if n < 1:
@@ -86,11 +89,12 @@ def _metric_point(cfg, i, snr_db, con, pmf, qz, r_loss):
     ch = ChannelConfig(snr_db, seed=cfg["seed"], block_id=2 * i)
     y = awgn(con.points[labels], ch)
     dcfg = DemapperConfig(assumed_snr_db=snr_db + cfg["assumed_snr_offset_db"],
-                          scale=cfg["scale"], quantizer=qz)
+                          scale=cfg["scale"])
     trace = demap_to_trace(labels, y, con, pmf, dcfg,
                            channel_snr_linear=ch.snr_linear)
-    report = compute_report(trace, quantizer=qz, r_c=cfg.get("code_rate"),
-                            r_loss=r_loss)
+    if qz is not None:
+        trace = quantize_trace(trace, qz)
+    report = compute_report(trace, r_c=cfg.get("code_rate"), r_loss=r_loss)
     if cfg.get("trace_dir"):
         write_trace(os.path.join(cfg["trace_dir"], f"point_{i:03d}.lvt"), trace)
     return report
@@ -192,8 +196,7 @@ def cmd_fecscan(args):
 
 def cmd_ingest(args):
     trace = read_trace(args.trace)
-    report = compute_report(trace, quantizer=trace.quantizer,
-                            r_c=args.code_rate, r_loss=args.r_loss)
+    report = compute_report(trace, r_c=args.code_rate, r_loss=args.r_loss)
     _write_csv(args.out, _csv_header(MetricReport), [_csv_row(report)])
     if args.json_out:
         _write_json(args.json_out, {
@@ -225,7 +228,7 @@ def cmd_pmf(args):
 
 def _add_format_args(p):
     p.add_argument("--format", choices=sorted(_FORMATS), default="64qam")
-    p.add_argument("--pmf-preset", choices=["i", "ii", "iii"], default=None,
+    p.add_argument("--pmf-preset", choices=list(_PRESET_NU), default=None,
                    help="shaped amplitude preset (64qam only); omit for uniform")
     p.add_argument("--n-pam", type=int, default=1024,
                    help="shaping codeword length used to realize the preset")
@@ -262,7 +265,7 @@ def build_parser():
     p.add_argument("--rate", default=None, help="generate a code of this rate instead")
     p.add_argument("--n", type=int, default=1008, help="length for --rate")
     p.add_argument("--code-seed", type=int, default=1)
-    p.add_argument("--mapping", choices=["fs1", "fs2", "r", "fu"], default="fs1")
+    p.add_argument("--mapping", choices=MAPPING_KINDS, default="fs1")
     p.add_argument("--mapping-seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--out", default="-")
@@ -285,7 +288,7 @@ def build_parser():
     p.set_defaults(fn=cmd_codegen)
 
     p = sub.add_parser("pmf", help="emit a quantized amplitude composition as JSON")
-    p.add_argument("--preset", choices=["i", "ii", "iii"], required=True)
+    p.add_argument("--preset", choices=list(_PRESET_NU), required=True)
     p.add_argument("--n-pam", type=int, default=1024)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_pmf)

@@ -5,7 +5,9 @@ which assigns each position to one bit tributary of the underlying PAM
 labels; structured (fs1/fs2), per-codeword random (r) and
 fixed unstructured (fu) mappings all keep the final n/bar_m positions on
 tributary 1, so that with a systematic encoder whose parity block is no
-longer than n/bar_m the parity bits land exclusively on sign slots.
+longer than n/bar_m the parity bits land exclusively on sign slots.  A
+mapping does not know the code rate: the PAS transmitter
+(``pas.transmit``) checks that the parity block fits.
 
 Codes are systematic irregular repeat-accumulate constructions: the
 information part of the parity-check matrix is built from shifted-identity
@@ -73,7 +75,7 @@ def _require_nonnegative_ints(**values):
 
 # --- bit mappings --------------------------------------------------------
 
-def build_mapping(kind, n, k, bar_m, seed=None, pas=True):
+def build_mapping(kind, n, bar_m, seed=None):
     """Construct one of the fs1/fs2/r/fu mappings as its slot permutation.
 
     Returns ``perm``, int64 of length n: codeword position j goes to slot
@@ -87,16 +89,13 @@ def build_mapping(kind, n, k, bar_m, seed=None, pas=True):
     the trailing 1-block; r and fu permute fs1's leading block randomly
     (r is meant to be rebuilt with a fresh seed per codeword, fu keeps one
     fixed seed).  Every tributary feeds n/bar_m positions and the last
-    n/bar_m positions are all tributary 1, the sign slots.  With ``pas``
-    the parity block must fit inside the sign slots: n - k <= n/bar_m.
+    n/bar_m positions are all tributary 1, the sign slots.
     """
     kind = kind.lower()
     if kind not in MAPPING_KINDS:
         raise ValueError(f"unknown mapping kind {kind!r}")
     if n % bar_m:
         raise ValueError("bar_m must divide n")
-    if pas and n - k > n // bar_m:
-        raise ValueError("parity block exceeds the sign slots: need n - k <= n/bar_m")
     block = n // bar_m
     lead = np.repeat(np.arange(bar_m, 1, -1), block)
     if kind == "fs2":

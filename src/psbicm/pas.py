@@ -12,7 +12,9 @@ A bit mapping is its slot permutation ``perm`` from ``build_mapping``.
 Slot order is PAM-major: codeword bit j goes to slot
 ``perm[j] = pam_index * bar_m + tributary - 1``; consecutive PAM groups
 pair into I/Q halves of one 2-D symbol, matching the constellation's
-bit layout [sign, amplitude bits] per dimension.
+bit layout [sign, amplitude bits] per dimension.  Every mapping puts the
+last n/bar_m codeword positions on sign slots; ``transmit`` checks that
+a shaped frame's parity block fits there (n - k <= n/bar_m).
 
 Matcher buffering: each FEC frame pulls whole matcher codewords on
 demand (``k_ps`` payload bits each) until its amplitude need is
@@ -26,9 +28,10 @@ at once except where a generator or the decoder is per frame:
    and labels all frames as stacked arrays, with one slot permutation
    per frame;
 2. noise: each frame gets AWGN from its own channel substream;
-3. demap: one ``bitwise_lvalues`` call over all symbols, then one gather
-   by the stacked slot permutations into codeword order
-   (``frame_lvalues``);
+3. demap: one ``demap_to_trace`` call over all symbols makes the
+   point's trace, s_o from the channel SNR, then ``invert_mapping``
+   gathers its L-values by the stacked slot permutations into codeword
+   order;
 4. decode: ``decode`` per frame, then ``compute_report`` on the pooled
    trace.
 """
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, awgn
-from .demapper import DemapperConfig, bitwise_lvalues, make_trace
+from .demapper import DemapperConfig, demap_to_trace
 from .fec import HD_FEC_THRESHOLD, apply_mapping, build_mapping, decode, encode, invert_mapping
 from .metrics import compute_report
 from .shaping import amplitudes_to_bits, ccdm_encode
@@ -100,8 +103,7 @@ def transmit(code, constellation, n_frames, *, composition=None,
     if mapping == "r":
         perms = np.empty((n_frames, n), dtype=np.int64)
     else:
-        perm = build_mapping(mapping, n, k, bar_m,
-                             seed=mapping_seed if mapping == "fu" else None, pas=pas)
+        perm = build_mapping(mapping, n, bar_m, seed=mapping_seed if mapping == "fu" else None)
         perms = np.broadcast_to(perm, (n_frames, n))
     rng = np.random.default_rng(seed)
 
@@ -113,8 +115,7 @@ def transmit(code, constellation, n_frames, *, composition=None,
     available = 0                  # matched amplitudes not yet framed
     for f in range(n_frames):
         if mapping == "r":
-            perms[f] = build_mapping("r", n, k, bar_m,
-                                     seed=int(map_rng.integers(1 << 31)), pas=pas)
+            perms[f] = build_mapping("r", n, bar_m, seed=int(map_rng.integers(1 << 31)))
         if not pas:
             info[f] = bits(k)
             continue
@@ -137,19 +138,6 @@ def transmit(code, constellation, n_frames, *, composition=None,
     labels = constellation.bits_to_labels(apply_mapping(cw, perms).reshape(-1, 2 * bar_m))
     return PasFrames(codewords=cw, labels=labels.reshape(n_frames, -1), perms=perms,
                      amplitudes=amps, payloads=payloads)
-
-
-def frame_lvalues(y, perms, constellation, pmf, config):
-    """Demap received frames in one call and put their L-values in codeword order.
-
-    ``y`` holds one frame's received symbols, or one row per frame with
-    ``perms`` one slot permutation per row.  Returns the demapper's
-    (symbols, m) L-values of all symbols in order, and the codeword-order
-    L-values, shaped (n,) or (frames, n).
-    """
-    y = np.asarray(y)
-    lam = bitwise_lvalues(y.reshape(-1), constellation, pmf, config)
-    return lam, invert_mapping(lam.reshape(*y.shape[:-1], -1), perms)
 
 
 @dataclass(frozen=True)
@@ -207,10 +195,13 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
     for f, frame_labels in enumerate(frames.labels):
         ch = ChannelConfig(snr_db, seed=seed, block_id=noise_block_base + f)
         y[f] = awgn(constellation.points[frame_labels], ch)
-    lam, lam_cw = frame_lvalues(y, frames.perms, constellation, pmf, cfg)
-    labels, sent_info = frames.labels, frames.codewords[:, :k]
+    trace = demap_to_trace(frames.labels.reshape(-1), y, constellation, pmf, cfg,
+                           channel_snr_linear=ch.snr_linear)
+    lam_cw = invert_mapping(trace.lvalues.reshape(n_frames, -1), frames.perms)
+    sent_info = frames.codewords[:, :k]
     # the metric tail sets the peak memory of a point, on top of what is
     # still held then: keep only what the decode loop and the trace need
+    # (the trace's uint8 bits, not the int64 labels)
     del frames, y
 
     converged = bp_failures = restarts_used = 0
@@ -227,9 +218,6 @@ def run_coded_point(code, constellation, pmf, snr_db, n_frames, *,
         undetected += wrong > 0 and bool(res.converged)
     del lam_cw
 
-    s_o = ChannelConfig(snr_db).snr_linear / cfg.assumed_snr_linear
-    trace = make_trace(constellation.labels_to_bits(labels.reshape(-1)),
-                       lam, pmf, scale=scale, scale_opt=s_o)
     report = compute_report(trace)
     post_ber = bit_errors / (n_frames * k)
     result = CodedPointResult(

@@ -54,9 +54,7 @@ _PRESET_NU = {"i": float.fromhex("0x1.f51da5890887ap-4"),      # H(B) = 4.124
 
 
 def amplitude_preset(name):
-    """Named 1-D amplitude pmfs: 'uniform', or MB at the tabulated nu of 'i'/'ii'/'iii'."""
-    if name == "uniform":
-        return np.full(_N_AMPLITUDES, 1.0 / _N_AMPLITUDES)
+    """Named 1-D amplitude pmf: MB at the tabulated nu of 'i', 'ii' or 'iii'."""
     if name in _PRESET_NU:
         return mb_amplitude_pmf(_PRESET_NU[name])
     raise ValueError(f"unknown amplitude preset {name!r}")

@@ -340,7 +340,7 @@ def test_criterion_10_mapping_invariance_of_pooled_metrics():
     n = la_slots.size
     got = {}
     for kind in ("fs1", "fs2", "fu"):
-        mp = build_mapping(kind, n, n // 2, bar_m, seed=62, pas=False)
+        mp = build_mapping(kind, n, bar_m, seed=62)
         la_cw = invert_mapping(la_slots, mp)     # same multiset, codeword order
         cost = soft_bit_cost(la_cw)
         tributary = mp % bar_m + 1

@@ -111,6 +111,17 @@ def test_sweep_names_an_snr_without_a_usable_linear_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:1:1", "0:1:inf", "nan:1:1", "1:2:nan",
+                                  "-1e308:1e308:1e-300"])
+def test_sweep_names_a_grid_without_a_finite_count(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--format", "qpsk", f"--snr-db={grid}",
+                 "--symbols-per-block", "10000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --snr-db range grid") and grid in err
+    assert not out.exists()
+
+
 def test_fecscan_small_run(tmp_path):
     out = tmp_path / "scan.csv"
     jout = tmp_path / "scan.json"

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from psbicm import ChannelConfig, DemapperConfig, awgn, square_qam
+from psbicm import ChannelConfig, DemapperConfig, awgn, bitwise_lvalues, square_qam
 from psbicm.fec import (
     MAPPING_KINDS,
     LdpcCode,
@@ -23,7 +23,7 @@ from psbicm.fec import (
     reference_code,
     write_alist,
 )
-from psbicm.pas import frame_lvalues, transmit
+from psbicm.pas import transmit
 from psbicm.shaping import amplitude_preset, quantize_pmf
 
 
@@ -146,9 +146,9 @@ def code_rows(code):
 
 
 def test_mapping_patterns_n12():
-    fs1 = build_mapping("fs1", 12, 8, 3)
+    fs1 = build_mapping("fs1", 12, 3)
     assert (fs1 % 3 + 1).tolist() == [3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1]
-    fs2 = build_mapping("fs2", 12, 8, 3)
+    fs2 = build_mapping("fs2", 12, 3)
     assert (fs2 % 3 + 1).tolist() == [3, 2, 3, 2, 3, 2, 3, 2, 1, 1, 1, 1]
     # codeword position 0 fills the tributary-3 slot of the first symbol
     slots = apply_mapping(np.arange(12), fs1)
@@ -157,15 +157,15 @@ def test_mapping_patterns_n12():
 
 def test_mapping_counts_and_sign_block():
     for kind, seed in (("fs1", None), ("fs2", None), ("fu", 5), ("r", 9)):
-        perm = build_mapping(kind, 24, 16, 3, seed=seed)
+        perm = build_mapping(kind, 24, 3, seed=seed)
         assert np.array_equal(np.sort(perm), np.arange(24))
         tributary = perm % 3 + 1
         counts = np.bincount(tributary, minlength=4)[1:]
         assert counts.tolist() == [8, 8, 8]
         assert np.all(tributary[-8:] == 1)
-    a = build_mapping("fu", 24, 16, 3, seed=5)
-    b = build_mapping("fu", 24, 16, 3, seed=6)
-    c = build_mapping("fu", 24, 16, 3, seed=5)
+    a = build_mapping("fu", 24, 3, seed=5)
+    b = build_mapping("fu", 24, 3, seed=6)
+    c = build_mapping("fu", 24, 3, seed=5)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
 
@@ -186,23 +186,19 @@ def test_mapping_permutation_equals_per_tributary_loop():
             n = bar_m * block
             for kind in MAPPING_KINDS:
                 for seed in (0, 1, 17, 2**31 - 1):
-                    perm = build_mapping(kind, n, n - block, bar_m, seed=seed)
+                    perm = build_mapping(kind, n, bar_m, seed=seed)
                     ref = loop_slot_permutation(perm % bar_m + 1, bar_m)
                     assert perm.dtype == np.int64 and np.array_equal(perm, ref)
 
 
 def test_mapping_validation():
     with pytest.raises(ValueError):
-        build_mapping("fs1", 13, 9, 3)
-    # parity block n - k = 10 exceeds the n/bar_m = 8 sign slots
+        build_mapping("fs1", 13, 3)
     with pytest.raises(ValueError):
-        build_mapping("fs1", 24, 14, 3)
-    build_mapping("fs1", 24, 14, 3, pas=False)
+        build_mapping("zigzag", 12, 3)
     with pytest.raises(ValueError):
-        build_mapping("zigzag", 12, 8, 3)
-    with pytest.raises(ValueError):
-        build_mapping("fu", 12, 8, 3)   # seed required
-    perms = np.stack([build_mapping("r", 12, 8, 3, seed=s) for s in (1, 2)])
+        build_mapping("fu", 12, 3)   # seed required
+    perms = np.stack([build_mapping("r", 12, 3, seed=s) for s in (1, 2)])
     with pytest.raises(ValueError, match="one row per mapping"):
         apply_mapping(np.zeros((3, 12)), perms)
     with pytest.raises(ValueError, match="one row per mapping"):
@@ -213,7 +209,7 @@ def test_mapping_validation():
 
 def test_per_row_mappings_equal_row_by_row():
     rng = np.random.default_rng(8)
-    perms = np.stack([build_mapping("r", 24, 18, 4, seed=s) for s in range(5)])
+    perms = np.stack([build_mapping("r", 24, 4, seed=s) for s in range(5)])
     x = rng.standard_normal((5, 24))
     slots = apply_mapping(x, perms)
     for row, perm, got in zip(x, perms, slots):
@@ -230,11 +226,11 @@ def test_mapping_roundtrip_property():
         n = bar_m * int(rng.integers(2, 7))
         kind = ("fs1", "fs2", "fu", "r")[trial % 4]
         seed = int(rng.integers(1 << 30)) if kind in ("fu", "r") else None
-        perm = build_mapping(kind, n, n - n // bar_m, bar_m, seed=seed)
+        perm = build_mapping(kind, n, bar_m, seed=seed)
         x = rng.standard_normal(n)
         assert np.array_equal(invert_mapping(apply_mapping(x, perm), perm), x)
     with pytest.raises(ValueError):
-        apply_mapping(np.zeros(5), build_mapping("fs1", 12, 8, 3))
+        apply_mapping(np.zeros(5), build_mapping("fs1", 12, 3))
 
 
 # the 288- and 960-bit layout searches take about 0.3 and 0.8 s (2-vCPU
@@ -553,7 +549,8 @@ def _oracle_frames():
     frames = transmit(code, con, 30, mapping="fs1", seed=3)
     y = np.stack([awgn(con.points[lab], ChannelConfig(11.0, seed=3, block_id=f))
                   for f, lab in enumerate(frames.labels)])
-    _, lam = frame_lvalues(y, frames.perms, con, pmf, DemapperConfig(assumed_snr_db=11.0))
+    lam = invert_mapping(bitwise_lvalues(y, con, pmf, DemapperConfig(assumed_snr_db=11.0))
+                         .reshape(len(y), -1), frames.perms)
     cases += [(code, row, 60) for row in lam]
 
     code = generate_code(1008, "2/3")
@@ -563,7 +560,8 @@ def _oracle_frames():
                       mapping_seed=4, seed=4)
     y = np.stack([awgn(con.points[lab], ChannelConfig(8.0, seed=4, block_id=f))
                   for f, lab in enumerate(frames.labels)])
-    _, lam = frame_lvalues(y, frames.perms, con, pmf, DemapperConfig(assumed_snr_db=8.0))
+    lam = invert_mapping(bitwise_lvalues(y, con, pmf, DemapperConfig(assumed_snr_db=8.0))
+                         .reshape(len(y), -1), frames.perms)
     cases += [(code, row, 200) for row in lam]
 
     for code in (reference_code(), generate_code(96, "1/2", seed=11)):
@@ -613,7 +611,8 @@ def test_restarts_recover_a_frame_flooding_bp_fails():
     frames = transmit(code, con, 88, mapping="fs1", mapping_seed=7, seed=51)
     codeword = frames.codewords[87]
     y = awgn(con.points[frames.labels[87]], ChannelConfig(12.0, seed=51, block_id=87))
-    _, lam = frame_lvalues(y, frames.perms[87], con, pmf, DemapperConfig(assumed_snr_db=12.0))
+    lam = invert_mapping(bitwise_lvalues(y, con, pmf, DemapperConfig(assumed_snr_db=12.0))
+                         .reshape(-1), frames.perms[87])
     first = decode(code, lam, max_iter=200)
     assert not first.converged and first.iterations == 200
     assert np.count_nonzero(first.info != codeword[:code.k]) == 59
@@ -752,7 +751,7 @@ def test_mapping_permutation_keeps_pooled_metrics():
     base_asi = 1.0 - float(np.mean(soft_bit_cost(la)))
     base_ber = float(np.mean(la < 0))
     for kind, seed in (("fs1", None), ("fs2", None), ("fu", 37)):
-        perm = build_mapping(kind, n, n - n // 3, 3, seed=seed)
+        perm = build_mapping(kind, n, 3, seed=seed)
         la_perm = apply_mapping(la, perm)
         assert abs(1.0 - float(np.mean(soft_bit_cost(la_perm))) - base_asi) < 1e-12
         assert float(np.mean(la_perm < 0)) == base_ber

@@ -29,7 +29,7 @@ def test_no_unused_imports():
     # the package __init__ imports to re-export
     files = [p for p in sorted((ROOT / "src" / "psbicm").glob("*.py"))
              if p.name != "__init__.py"]
-    files += sorted((ROOT / "tests").glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {k: v for k, v in found.items() if v} == {}
 

@@ -9,7 +9,7 @@ from psbicm.demapper import DemapperConfig, bitwise_lvalues, make_trace
 from psbicm.fec import (HD_FEC_THRESHOLD, apply_mapping, build_mapping, decode, encode,
                         generate_code, invert_mapping)
 from psbicm.metrics import asi_mc, gmi_from_trace, ngmi, pre_fec_ber, r_fec_star
-from psbicm.pas import CodedPointResult, frame_lvalues, run_coded_point, transmit
+from psbicm.pas import CodedPointResult, run_coded_point, transmit
 from psbicm.shaping import (amplitude_preset, amplitudes_to_bits, bits_to_amplitudes,
                             ccdm_decode, ccdm_encode, quantize_pmf)
 
@@ -28,7 +28,7 @@ def test_noiseless_shaped_round_trip():
     sent_amps = []
     for f in range(6):
         y = con.points[frames.labels[f]]        # noiseless
-        _, lam = frame_lvalues(y, frames.perms[f], con, pmf, cfg)
+        lam = invert_mapping(bitwise_lvalues(y, con, pmf, cfg).reshape(-1), frames.perms[f])
         res = decode(code, lam)
         assert res.converged and res.iterations == 0
         assert np.array_equal(res.codeword, frames.codewords[f])
@@ -62,8 +62,7 @@ def per_frame_point(code, con, pmf, snr_db, n_frames, *, composition=None,
     rng = np.random.default_rng(seed)
     fixed = None
     if mapping != "r":
-        fixed = build_mapping(mapping, n, k, bar_m,
-                              seed=mapping_seed if mapping == "fu" else None, pas=pas)
+        fixed = build_mapping(mapping, n, bar_m, seed=mapping_seed if mapping == "fu" else None)
     if assumed_snr_db is None:
         assumed_snr_db = snr_db
     cfg = DemapperConfig(assumed_snr_db=assumed_snr_db)
@@ -74,7 +73,7 @@ def per_frame_point(code, con, pmf, snr_db, n_frames, *, composition=None,
     for f in range(n_frames):
         perm = fixed
         if perm is None:
-            perm = build_mapping("r", n, k, bar_m, seed=int(map_rng.integers(1 << 31)), pas=pas)
+            perm = build_mapping("r", n, bar_m, seed=int(map_rng.integers(1 << 31)))
         if not pas:
             info = rng.integers(0, 2, size=k, dtype=np.uint8)
         else:
@@ -169,22 +168,6 @@ def test_staged_chain_equals_per_frame_chain(case):
         assert res.restarts_used > 0
     if case == "undetected":
         assert res.undetected_frame_errors == 1 < res.frame_errors
-
-
-def test_batched_frame_lvalues_equal_per_frame_demap():
-    con, pmf = square_qam(6)
-    code = generate_code(144, "2/3", seed=2)
-    frames = transmit(code, con, 4, mapping="r", mapping_seed=1, seed=2)
-    cfg = DemapperConfig(assumed_snr_db=9.0, scale=0.8)
-    y = np.stack([awgn(con.points[lab], ChannelConfig(10.0, seed=1, block_id=f))
-                  for f, lab in enumerate(frames.labels)])
-    lam, lam_cw = frame_lvalues(y, frames.perms, con, pmf, cfg)
-    assert lam.shape == (y.size, con.m) and lam_cw.shape == (4, code.n)
-    for f in range(4):
-        per_frame = bitwise_lvalues(y[f], con, pmf, cfg)
-        assert np.array_equal(lam[f * y.shape[1]:(f + 1) * y.shape[1]], per_frame)
-        assert np.array_equal(lam_cw[f], invert_mapping(per_frame.reshape(-1),
-                                                        frames.perms[f]))
 
 
 def test_frame_structure_shaped():

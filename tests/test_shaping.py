@@ -74,7 +74,6 @@ def test_presets_round_to_published_operating_points():
     assert np.allclose(np.round(amplitude_preset("i"), 3), [0.698, 0.262, 0.037, 0.002])
     assert np.allclose(np.round(amplitude_preset("ii"), 3), [0.611, 0.304, 0.076, 0.009])
     assert np.allclose(np.round(amplitude_preset("iii"), 3), [0.494, 0.325, 0.141, 0.040])
-    assert np.allclose(amplitude_preset("uniform"), 0.25)
     with pytest.raises(ValueError):
         amplitude_preset("nope")
 
